@@ -59,6 +59,7 @@ from .verify import (
     verify_code,
     verify_connected_sum,
     verify_minimal_reduction,
+    verify_mirror,
     verify_truncated_skein,
     verify_twist_counts,
 )

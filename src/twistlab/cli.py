@@ -3,7 +3,8 @@
 Exit status is 0 when every check run by the command passed, 1 when a
 verification check failed, 2 for malformed input.  Codes are given as
 one argument per twist count, or as a single quoted string with spaces
-or commas.
+or commas.  Each command returns (exit status, JSON payload, human
+lines), and main prints the payload or the lines.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from .diagram import (
     mirror,
     parse_pd,
 )
-from .kauffman import (
-    TopDegreeMismatchError,
-    lambda_poly,
-    mirror_poly,
-    staggered,
-    truncate,
-)
+from .kauffman import TopDegreeMismatchError, lambda_poly, staggered, truncate
 from .notation import NotationError, census, continued_fraction, parse_conway
 from .verify import (
     VerificationReport,
@@ -35,6 +30,8 @@ from .verify import (
     check_diagram,
     sweep,
     verify_code,
+    verify_connected_sum,
+    verify_mirror,
 )
 
 
@@ -43,139 +40,103 @@ def _parse_code(tokens):
     return parse_conway(text)
 
 
-def _emit(report: VerificationReport, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.as_dict()))
-    else:
-        print(report.summary())
-
-
-def cmd_compute(args) -> int:
+def cmd_compute(args):
     code = _parse_code(args.code)
     tc = census(code)
     d = build_standard(code)
     p = lambda_poly(d)
     t = truncate(p, tc.crossings)
     frac = continued_fraction(code)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "code": str(code),
-                    "crossings": tc.crossings,
-                    "sites": tc.sites,
-                    "components": components(d),
-                    "fraction": [frac.numerator, frac.denominator],
-                    "lambda": [list(term) for term in p.terms()],
-                    "u": list(t.u),
-                    "top_pair_present": t.top_pair_present,
-                    "chirality": chirality_class(t),
-                    "amphicheiral": amphicheiral_obstruction(code),
-                }
-            )
-        )
-    else:
-        print(f"code: {code}")
-        print(
-            f"crossings: {tc.crossings}  sites: {tc.sites}"
-            f"  components: {components(d)}  fraction: {frac}"
-        )
-        print(f"Lambda = {p.pretty()}")
-        print("top rows:")
-        print(staggered(p, tc.crossings))
-        print(
-            f"u = {t.u}  chirality: {chirality_class(t)}"
-            f"  amphicheiral: {amphicheiral_obstruction(code)}"
-        )
-    return 0
+    payload = {
+        "code": str(code),
+        "crossings": tc.crossings,
+        "sites": tc.sites,
+        "components": components(d),
+        "fraction": [frac.numerator, frac.denominator],
+        "lambda": [list(term) for term in p.terms()],
+        "u": list(t.u),
+        "top_pair_present": True,
+        "chirality": chirality_class(t),
+        "amphicheiral": amphicheiral_obstruction(code),
+    }
+    lines = [
+        f"code: {code}",
+        f"crossings: {tc.crossings}  sites: {tc.sites}"
+        f"  components: {components(d)}  fraction: {frac}",
+        f"Lambda = {p.pretty()}",
+        "top rows:",
+        staggered(p, tc.crossings),
+        f"u = {t.u}  chirality: {chirality_class(t)}"
+        f"  amphicheiral: {amphicheiral_obstruction(code)}",
+    ]
+    return 0, payload, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.enumerate:
         if args.max_crossings is None:
             raise NotationError("--enumerate needs --max-crossings")
-        cache: dict = {}
-        reports = sweep(args.max_crossings, cache)
+        reports = sweep(args.max_crossings)
         passed = sum(1 for r in reports if r.overall)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "reports": [r.as_dict() for r in reports],
-                        "codes": len(reports),
-                        "passed": passed,
-                    }
-                )
-            )
-        else:
-            for r in reports:
-                print(r.summary())
-            print(f"{len(reports)} codes, {passed} passed")
-        return 0 if passed == len(reports) else 1
+        payload = {
+            "reports": [r.as_dict() for r in reports],
+            "codes": len(reports),
+            "passed": passed,
+        }
+        lines = [r.summary() for r in reports]
+        lines.append(f"{len(reports)} codes, {passed} passed")
+        return 0 if passed == len(reports) else 1, payload, lines
     if not args.code:
         raise NotationError("give a code or use --enumerate")
     report = verify_code(_parse_code(args.code))
-    _emit(report, args.json)
-    return 0 if report.overall else 1
+    return 0 if report.overall else 1, report.as_dict(), [report.summary()]
 
 
-def cmd_mirror(args) -> int:
+def cmd_mirror(args):
     code = _parse_code(args.code)
-    tc = census(code)
-    d = build_standard(code)
-    p = lambda_poly(d)
-    q = lambda_poly(mirror(d))
-    t, tm = truncate(p, tc.crossings), truncate(q, tc.crossings)
-    ok = q == mirror_poly(p)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "code": str(code),
-                    "lambda_mirror": [list(term) for term in q.terms()],
-                    "u": list(t.u),
-                    "u_mirror": list(tm.u),
-                    "substitution_match": ok,
-                }
-            )
-        )
-    else:
-        print(f"mirror of {code}: Lambda = {q.pretty()}")
-        print(f"u = {t.u} -> {tm.u}  substitution_match: {'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    memo: dict = {}
+    rep = verify_mirror(code, memo)
+    q = lambda_poly(mirror(build_standard(code)), memo)
+    u_mirror = truncate(q, rep.crossings).u
+    ok = rep.checks["substitution_match"]
+    payload = {
+        "code": str(code),
+        "lambda_mirror": [list(term) for term in q.terms()],
+        "u": list(rep.computed_u),
+        "u_mirror": list(u_mirror),
+        "substitution_match": ok,
+    }
+    lines = [
+        f"mirror of {code}: Lambda = {q.pretty()}",
+        f"u = {rep.computed_u} -> {u_mirror}  substitution_match: {'ok' if ok else 'FAIL'}",
+    ]
+    return 0 if rep.overall else 1, payload, lines
 
 
-def cmd_sum(args) -> int:
+def cmd_sum(args):
     code1 = _parse_code([args.code1])
     code2 = _parse_code([args.code2])
-    d1, d2 = build_standard(code1), build_standard(code2)
-    d = connected_sum(d1, d2)
-    p = lambda_poly(d)
-    ok_product = p == lambda_poly(d1) * lambda_poly(d2)
-    ok_degree = p.max_z() == d.crossings - 2
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "codes": [str(code1), str(code2)],
-                    "crossings": d.crossings,
-                    "lambda": [list(term) for term in p.terms()],
-                    "product_match": ok_product,
-                    "sum_top_degree": ok_degree,
-                }
-            )
-        )
-    else:
-        print(f"{code1} # {code2}: crossings={d.crossings}")
-        print(f"Lambda = {p.pretty()}")
-        print(
-            f"product_match: {'ok' if ok_product else 'FAIL'}"
-            f"  top z-degree {p.max_z()} (crossings-2 = {d.crossings - 2})"
-        )
-    return 0 if ok_product and ok_degree else 1
+    memo: dict = {}
+    rep = verify_connected_sum(code1, code2, memo)
+    p = lambda_poly(connected_sum(build_standard(code1), build_standard(code2)), memo)
+    c = rep.crossings
+    payload = {
+        "codes": [str(code1), str(code2)],
+        "crossings": c,
+        "lambda": [list(term) for term in p.terms()],
+        "product_match": rep.checks["product_match"],
+        "sum_top_degree": rep.checks["sum_top_degree"],
+    }
+    lines = [
+        f"{code1} # {code2}: crossings={c}",
+        f"Lambda = {p.pretty()}",
+        f"product_match: {'ok' if rep.checks['product_match'] else 'FAIL'}"
+        f"  top z-degree {p.max_z()} (crossings-2 = {c - 2})",
+    ]
+    return 0 if rep.overall else 1, payload, lines
 
 
-def cmd_pd(args) -> int:
+def cmd_pd(args):
     expected = None
     if args.expect:
         try:
@@ -190,6 +151,7 @@ def cmd_pd(args) -> int:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise DiagramError(f"cannot read {args.file}: {exc}") from None
+    memo: dict = {}
     reports = []
     for ln in lines:
         try:
@@ -199,24 +161,15 @@ def cmd_pd(args) -> int:
             raise DiagramError(f"bad pd record {ln[:40]!r}: {exc}") from None
         d = parse_pd(pd)
         try:
-            rep = check_diagram(d, expected=expected, name=name)
+            rep = check_diagram(d, expected=expected, name=name, cache=memo)
         except TopDegreeMismatchError as exc:
             rep = VerificationReport(input=name, crossings=d.crossings)
             rep.checks["top_pair"] = False
-            rep.checks["note"] = False
             print(f"{name}: {exc}", file=sys.stderr)
         reports.append(rep)
     ok = all(r.overall for r in reports)
-    if args.json:
-        print(
-            json.dumps(
-                {"records": [r.as_dict() for r in reports], "overall": ok}
-            )
-        )
-    else:
-        for r in reports:
-            print(r.summary())
-    return 0 if ok else 1
+    payload = {"records": [r.as_dict() for r in reports], "overall": ok}
+    return 0 if ok else 1, payload, [r.summary() for r in reports]
 
 
 def main(argv=None) -> int:
@@ -226,48 +179,50 @@ def main(argv=None) -> int:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="polynomial and u triple of a code")
-    p.add_argument("code", nargs="+")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_compute)
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("verify", help="run the checks for one code or a sweep")
+    p = command("compute", cmd_compute, "polynomial and u triple of a code")
+    p.add_argument("code", nargs="+")
+
+    p = command("verify", cmd_verify, "run the checks for one code or a sweep")
     p.add_argument("code", nargs="*")
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--max-crossings", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("mirror", help="polynomial of the mirrored build")
+    p = command("mirror", cmd_mirror, "polynomial of the mirrored build")
     p.add_argument("code", nargs="+")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_mirror)
 
-    p = sub.add_parser("sum", help="connected sum of two codes")
+    p = command("sum", cmd_sum, "connected sum of two codes")
     p.add_argument("code1")
     p.add_argument("code2")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_sum)
 
-    p = sub.add_parser("pd", help="check diagrams from a pd-code file")
+    p = command("pd", cmd_pd, "check diagrams from a pd-code file")
     p.add_argument("--file", required=True)
     p.add_argument(
         "--expect",
         default=None,
         help="u_minus,u_zero,u_plus in ascending a-exponent order",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_pd)
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        status, payload, lines = args.fn(args)
     except (NotationError, DiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TopDegreeMismatchError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps(payload))
+    else:
+        for line in lines:
+            print(line)
+    return status
 
 
 if __name__ == "__main__":

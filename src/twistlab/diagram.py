@@ -68,6 +68,14 @@ class LabelCountMismatchError(DiagramError):
     pass
 
 
+class PDTypeError(DiagramError):
+    pass
+
+
+class NonPlanarError(DiagramError):
+    pass
+
+
 @dataclass(frozen=True)
 class SiteTag:
     """Provenance of a crossing inside a standard-format build.
@@ -167,6 +175,16 @@ def _orbits(d: LinkDiagram) -> list[list[int]]:
     return orbits
 
 
+def _walk_index(d: LinkDiagram) -> tuple[list[list[int]], list[int], list[int]]:
+    """Directed walks, the walk of every endpoint, and every walk's reverse."""
+    orbits = _orbits(d)
+    oid = [0] * len(d.mate)
+    for i, orb in enumerate(orbits):
+        for e in orb:
+            oid[e] = i
+    return orbits, oid, [oid[orb[0] ^ 2] for orb in orbits]
+
+
 def components(d: LinkDiagram) -> int:
     """Number of link components, free circles included."""
     return len(_orbits(d)) // 2 + d.free_loops
@@ -191,23 +209,14 @@ def _self_crossing_signs(d: LinkDiagram) -> dict[int, int]:
     slot 1 for a negative one.  Crossings between distinct components
     are omitted, since their sign depends on a choice of orientation.
     """
-    orbits = _orbits(d)
-    oid = {}
-    for i, orb in enumerate(orbits):
-        for e in orb:
-            oid[e] = i
-    sid: dict[int, int] = {}
-    for i, orb in enumerate(orbits):
-        if i in sid:
-            continue
-        j = oid[orb[0] ^ 2]
-        sid[i] = sid[j] = i
+    _, oid, rev = _walk_index(d)
     signs = {}
     for c in range(d.crossings):
         b = 4 * c
-        if sid[oid[b]] != sid[oid[b + 1]]:
+        i, j = oid[b], oid[b + 1]
+        if i != j and i != rev[j]:
             continue
-        signs[c] = 1 if oid[b + 3] == oid[b] else -1
+        signs[c] = 1 if oid[b + 3] == i else -1
     return signs
 
 
@@ -225,19 +234,12 @@ def _traversal_entries(d: LinkDiagram) -> list[int]:
     order depends only on the matching, never on over and under data,
     so it survives switching any set of crossings.
     """
-    orbits = _orbits(d)
-    oid = {}
-    for i, orb in enumerate(orbits):
-        for e in orb:
-            oid[e] = i
+    orbits, _, rev = _walk_index(d)
     walks = []
-    paired = set()
     for i, orb in enumerate(orbits):
-        if i in paired:
+        j = rev[i]
+        if j < i:
             continue
-        j = oid[orb[0] ^ 2]
-        paired.add(i)
-        paired.add(j)
         lo_i, lo_j = min(orb), min(orbits[j])
         src = orb if lo_i < lo_j else orbits[j]
         k = src.index(min(lo_i, lo_j))
@@ -487,9 +489,9 @@ def canonical_key(d: LinkDiagram) -> bytes:
     return d._canon
 
 
-def _compute_key(d: LinkDiagram) -> bytes:
+def _crossing_groups(d: LinkDiagram) -> list[list[int]]:
+    """Crossings of each connected component of the crossing graph."""
     n = d.crossings
-    # connected components of the crossing graph
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -505,8 +507,13 @@ def _compute_key(d: LinkDiagram) -> bytes:
     groups: dict[int, list[int]] = {}
     for c in range(n):
         groups.setdefault(find(c), []).append(c)
+    return list(groups.values())
+
+
+def _compute_key(d: LinkDiagram) -> bytes:
+    n = d.crossings
     comp_keys = []
-    for comp in groups.values():
+    for comp in _crossing_groups(d):
         best = None
         for start in comp:
             for rot0 in (0, 2):
@@ -549,25 +556,46 @@ def _bfs_serial(d: LinkDiagram, start: int, rot0: int) -> tuple:
 # ---------------------------------------------------------------------------
 # planar diagram codes
 
+def _face_count(d: LinkDiagram) -> int:
+    """Faces of the diagram's plane graph, counted per crossing component.
+
+    Slots run counterclockwise, so following an arc to endpoint m and
+    turning to slot m+1 of that crossing walks along one face boundary.
+    """
+    turn = [(m & ~3) | ((m + 1) & 3) for m in d.mate]
+    seen = bytearray(len(turn))
+    faces = 0
+    for e in range(len(turn)):
+        if not seen[e]:
+            faces += 1
+        while not seen[e]:
+            seen[e] = 1
+            e = turn[e]
+    return faces
+
+
 def parse_pd(pd) -> LinkDiagram:
     """Read a planar diagram code: one 4-tuple of arc labels per crossing.
 
     Tuple positions map to slots 0..3, so position 0 is the incoming
     under strand and labels are listed counterclockwise from it.  Every
-    label must appear exactly twice across the whole code.
+    label must appear exactly twice across the whole code, and the code
+    must describe a plane diagram: by Euler's formula each connected
+    component with n crossings bounds n + 2 faces.
     """
     if isinstance(pd, str):
         pd = json.loads(pd)
+    if not isinstance(pd, (list, tuple)) or not all(
+        isinstance(t, (list, tuple)) and all(type(x) in (int, str) for x in t) for t in pd
+    ):
+        raise PDTypeError("a pd code is a list of crossings, each a list of int or str labels")
     where: dict[object, list[int]] = {}
-    count = 0
     for c, tup in enumerate(pd):
-        tup = list(tup)
         if len(tup) != 4:
             raise BadArityError(f"crossing {c} has {len(tup)} arc labels, wanted 4")
         for s, label in enumerate(tup):
             where.setdefault(label, []).append(4 * c + s)
-        count += 1
-    mate = [-1] * (4 * count)
+    mate = [-1] * (4 * len(pd))
     for label, eps in where.items():
         if len(eps) == 1:
             raise DanglingLabelError(f"arc label {label!r} appears only once")
@@ -577,7 +605,10 @@ def parse_pd(pd) -> LinkDiagram:
             )
         e1, e2 = eps
         mate[e1], mate[e2] = e2, e1
-    return LinkDiagram(tuple(mate))
+    d = LinkDiagram(tuple(mate))
+    if _face_count(d) != d.crossings + 2 * len(_crossing_groups(d)):
+        raise NonPlanarError("the pd code has no plane embedding (Euler count fails)")
+    return d
 
 
 def to_pd(d: LinkDiagram) -> list[list[int]]:

@@ -15,8 +15,8 @@ switches each crossing first met on its under strand, accumulating the
 skein relation; the fully switched diagram is descending, so it is a
 power of a times a power of the unlink value delta.  Subdiagrams are
 memoized by canonical key.  The memo is a fresh private dict per call
-unless the caller passes one in; setting TWISTLAB_CACHE=off disables
-memoization entirely, which must never change any value.
+unless the caller passes one in; TWISTLAB_CACHE=off disables it
+entirely, passed dicts included, which must never change any value.
 """
 
 from __future__ import annotations
@@ -171,11 +171,7 @@ class LaurentPoly2:
             return "0"
         parts = []
         for a, z, c in self.terms():
-            body = _monomial_str(a, z)
-            mag = abs(c)
-            if mag != 1 or not body:
-                body = (str(mag) + (" " + body if body else "")).strip()
-            word = body if body else str(mag)
+            word = _term_str(a, z, c)
             if not parts:
                 parts.append(word if c > 0 else "-" + word)
             else:
@@ -194,6 +190,15 @@ def _monomial_str(a_exp: int, z_exp: int) -> str:
     elif z_exp:
         bits.append(f"z^{z_exp}")
     return " ".join(bits)
+
+
+def _term_str(a_exp: int, z_exp: int, coeff: int) -> str:
+    """One term without its sign: the magnitude, unless 1, then the monomial."""
+    body = _monomial_str(a_exp, z_exp)
+    mag = abs(coeff)
+    if mag == 1 and body:
+        return body
+    return f"{mag} {body}".rstrip()
 
 
 _ZERO = LaurentPoly2()
@@ -220,18 +225,16 @@ def mirror_poly(p: LaurentPoly2) -> LaurentPoly2:
     return p.mirror_a()
 
 
-def _caching_enabled() -> bool:
-    return os.environ.get(_CACHE_ENV, "").strip().lower() not in {"off", "0", "false", "no"}
-
-
 def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
     """Kauffman regular-isotopy polynomial of a diagram.
 
     Pass a dict as cache to share memoized subdiagram values across
-    calls; by default each call uses a private dict, and none at all
-    when the TWISTLAB_CACHE environment variable is set to off.
+    calls; by default each call uses a private dict.  Nothing at all
+    is memoized, not even in a passed dict, when TWISTLAB_CACHE=off.
     """
-    if cache is None and _caching_enabled():
+    if os.environ.get(_CACHE_ENV, "").strip().lower() in {"off", "0", "false", "no"}:
+        cache = None
+    elif cache is None:
         cache = {}
     return _lambda(d, cache)
 
@@ -311,7 +314,6 @@ class TruncatedLambda:
     u_minus: int
     u_zero: int
     u_plus: int
-    top_pair_present: bool
 
     @property
     def u(self) -> tuple[int, int, int]:
@@ -339,7 +341,7 @@ def truncate(p: LaurentPoly2, crossings: int) -> TruncatedLambda:
     um, u0, up = row.get(-2, 0), row.get(0, 0), row.get(2, 0)
     if min(um, u0, up) < 0:
         raise TopDegreeMismatchError(f"negative twist-site count in {row!r}")
-    return TruncatedLambda(c, um, u0, up, True)
+    return TruncatedLambda(c, um, u0, up)
 
 
 def staggered(p: LaurentPoly2, crossings: int) -> str:
@@ -354,12 +356,8 @@ def staggered(p: LaurentPoly2, crossings: int) -> str:
     lines = []
 
     def fmt(a, z, coeff, indent):
-        body = _monomial_str(a, z)
-        mag = abs(coeff)
-        if mag != 1 or not body:
-            body = (str(mag) + (" " + body if body else "")).strip()
         sign = "- " if coeff < 0 else ("+ " if lines else "  ")
-        return (" " * indent) + sign + body
+        return " " * indent + sign + _term_str(a, z, coeff)
 
     for a in sorted(set(low) | {x + 1 for x in high}, reverse=True):
         if a in low:

@@ -108,6 +108,31 @@ def test_input_errors_exit_two(capsys):
     assert main(["pd", "--file", FIXTURES, "--expect", "1,2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "pd",
+    [
+        5,
+        [[[1], 2, 3, 4], [4, 3, 2, [1]]],
+        [[1, 2, 3, 4], [1, 3, 2, 4]],  # not planar
+    ],
+)
+def test_bad_pd_record_exits_two(tmp_path, capsys, pd):
+    target = tmp_path / "bad.jsonl"
+    target.write_text(json.dumps({"name": "x", "pd": pd}) + "\n", encoding="utf-8")
+    assert main(["pd", "--file", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["-3", "1"])
+def test_enumerate_needs_two_crossings(capsys, n):
+    assert main(["verify", "--enumerate", "--max-crossings", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -20,6 +20,8 @@ from twistlab.diagram import (
     EmptyDiagramError,
     LabelCountMismatchError,
     LinkDiagram,
+    NonPlanarError,
+    PDTypeError,
     UnknownCrossingError,
     UntaggedCrossingError,
     build_standard,
@@ -339,6 +341,20 @@ def test_parse_pd_errors():
         parse_pd([[1, 2, 3, 4], [4, 3, 2, 5]])
     with pytest.raises(LabelCountMismatchError):
         parse_pd([[1, 1, 2, 2], [2, 3, 3, 1]])
+    for bad in (5, [5], [[[1], 2, 3, 4], [4, 3, 2, [1]]], [[True, 2, 3, 4], [4, 3, 2, 1]]):
+        with pytest.raises(PDTypeError):
+            parse_pd(bad)
+    with pytest.raises(NonPlanarError):
+        parse_pd([[1, 2, 3, 4], [1, 3, 2, 4]])
+
+
+def test_parse_pd_accepts_split_and_summed_diagrams():
+    hopf = to_pd(_build("2"))
+    trefoil = [[x + 10 for x in row] for row in to_pd(_build("3"))]
+    split = parse_pd(hopf + trefoil)
+    assert (split.crossings, components(split)) == (5, 3)
+    summed = connected_sum(_build("3"), mirror(_build("2 2")))
+    assert parse_pd(to_pd(summed)) == summed
 
 
 def test_fixture_file_parses():

@@ -122,7 +122,6 @@ def test_trefoil_polynomial():
 def test_trefoil_truncation():
     t = truncate(lambda_poly(_build("3")), 3)
     assert t.u == (0, 1, 1)
-    assert t.top_pair_present
 
 
 def test_figure_eight_top_rows():
@@ -278,6 +277,13 @@ def test_cache_off_gives_identical_values(monkeypatch):
     with_cache = lambda_poly(d)
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
     assert lambda_poly(d) == with_cache
+
+
+def test_cache_off_leaves_a_passed_dict_empty(monkeypatch):
+    monkeypatch.setenv("TWISTLAB_CACHE", "off")
+    memo = {}
+    assert lambda_poly(_build("2 1 2"), memo) == lambda_poly(_build("2 1 2"))
+    assert memo == {}
 
 
 def test_shared_cache_gives_identical_values():

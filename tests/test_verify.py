@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from twistlab.diagram import build_standard, mirror, parse_pd
+from twistlab import kauffman
+from twistlab.diagram import build_standard, canonical_key, mirror, parse_pd
 from twistlab.kauffman import lambda_poly, truncate
-from twistlab.notation import HopfBaseError, enumerate_standard, parse_conway
+from twistlab.notation import HopfBaseError, NotationError, enumerate_standard, parse_conway
 from twistlab.verify import (
     BALANCED,
     BOTTOM_HEAVY,
@@ -20,6 +21,7 @@ from twistlab.verify import (
     verify_code,
     verify_connected_sum,
     verify_minimal_reduction,
+    verify_mirror,
     verify_truncated_skein,
     verify_twist_counts,
 )
@@ -168,6 +170,46 @@ def test_verify_code_merges_applicable_checks():
     assert "reduction_match" not in rep.checks
     assert "skein_truncated" not in rep.checks
     assert rep.overall
+
+
+def test_verify_code_memo_does_not_change_the_report(monkeypatch):
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    code = _code("2 1 1 2")
+    memo = {}
+    want = verify_code(code).as_dict()
+    assert verify_code(code, memo).as_dict() == want
+    assert memo
+    monkeypatch.setenv("TWISTLAB_CACHE", "off")
+    assert verify_code(code).as_dict() == want
+
+
+def test_verify_code_evaluates_each_diagram_once(monkeypatch):
+    resolved = []
+    real = kauffman._resolve
+
+    def counting(d, cache):
+        resolved.append(canonical_key(d))
+        return real(d, cache)
+
+    monkeypatch.setattr(kauffman, "_resolve", counting)
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    code = _code("2 1 1 2")
+    verify_code(code)
+    assert canonical_key(build_standard(code)) in resolved
+    assert len(resolved) == len(set(resolved))
+
+
+def test_verify_mirror():
+    for text in ("3", "2 1 2", "2"):
+        rep = verify_mirror(_code(text))
+        assert rep.checks == {"substitution_match": True}
+        assert rep.computed_u == truncate(lambda_poly(build_standard(_code(text))), rep.crossings).u
+
+
+def test_sweep_rejects_too_few_crossings():
+    for n in (-3, 1):
+        with pytest.raises(NotationError):
+            sweep(n)
 
 
 def test_sweep_passes_and_reports():
