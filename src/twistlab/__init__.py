@@ -35,6 +35,7 @@ from .kauffman import (
     TopDegreeMismatchError,
     TruncatedLambda,
     delta_unlink,
+    lambda_code,
     lambda_poly,
     mirror_poly,
     staggered,

@@ -21,7 +21,7 @@ from .diagram import (
     mirror,
     parse_pd,
 )
-from .kauffman import TopDegreeMismatchError, lambda_poly, staggered, truncate
+from .kauffman import TopDegreeMismatchError, lambda_code, lambda_poly, staggered, truncate
 from .notation import NotationError, census, continued_fraction, parse_conway
 from .verify import (
     VerificationReport,
@@ -44,7 +44,7 @@ def cmd_compute(args):
     code = _parse_code(args.code)
     tc = census(code)
     d = build_standard(code)
-    p = lambda_poly(d)
+    p = lambda_code(code)
     t = truncate(p, tc.crossings)
     frac = continued_fraction(code)
     payload = {
@@ -76,6 +76,8 @@ def cmd_verify(args):
     if args.enumerate:
         if args.max_crossings is None:
             raise NotationError("--enumerate needs --max-crossings")
+        if args.code:
+            raise NotationError("give a code or use --enumerate, not both")
         reports = sweep(args.max_crossings)
         passed = sum(1 for r in reports if r.overall)
         payload = {
@@ -88,6 +90,8 @@ def cmd_verify(args):
         return 0 if passed == len(reports) else 1, payload, lines
     if not args.code:
         raise NotationError("give a code or use --enumerate")
+    if args.max_crossings is not None:
+        raise NotationError("--max-crossings needs --enumerate")
     report = verify_code(_parse_code(args.code))
     return 0 if report.overall else 1, report.as_dict(), [report.summary()]
 

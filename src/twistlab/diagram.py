@@ -584,7 +584,10 @@ def parse_pd(pd) -> LinkDiagram:
     component with n crossings bounds n + 2 faces.
     """
     if isinstance(pd, str):
-        pd = json.loads(pd)
+        try:
+            pd = json.loads(pd)
+        except json.JSONDecodeError as exc:
+            raise PDTypeError(f"a pd code given as text must be JSON: {exc}") from None
     if not isinstance(pd, (list, tuple)) or not all(
         isinstance(t, (list, tuple)) and all(type(x) in (int, str) for x in t) for t in pd
     ):

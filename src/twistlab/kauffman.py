@@ -8,15 +8,39 @@ The polynomial Lambda(a, z) of a diagram satisfies
 
 where D+ and D- differ by a switch at one crossing and D0, Dinf are its
 two smoothings.  Coefficients are unbounded integers; no floating point
-is involved anywhere.
+is involved anywhere.  Two engines evaluate it, and the input type
+picks one.
 
-Evaluation removes kinks, then walks the diagram in a fixed order and
-switches each crossing first met on its under strand, accumulating the
-skein relation; the fully switched diagram is descending, so it is a
-power of a times a power of the unlink value delta.  Subdiagrams are
-memoized by canonical key.  The memo is a fresh private dict per call
-unless the caller passes one in; TWISTLAB_CACHE=off disables it
-entirely, passed dicts included, which must never change any value.
+The skein engine (``lambda_poly``) takes any diagram.  It removes
+kinks, then walks the diagram in a fixed order and switches each
+crossing first met on its under strand, accumulating the skein
+relation; the fully switched diagram is descending, so it is a power of
+a times a power of the unlink value delta.  Its cost is exponential in
+crossings.  Subdiagrams are memoized by canonical key.  The memo is a
+fresh private dict per call unless the caller passes one in;
+TWISTLAB_CACHE=off disables it entirely, passed dicts included, which
+must never change any value.
+
+The transfer-matrix engine (``lambda_code``) takes a Conway code and
+evaluates the standard build of ``diagram.build_standard`` with one
+3x3 step per crossing.  By Kauffman's tangle skein relations ("An
+invariant of regular isotopy", Trans. AMS 318, 1990) every 4-ended
+tangle reduces to a combination of three basis tangles: H (arcs NW-NE
+and SW-SE), V (arcs NW-SW and NE-SE) and X (one site crossing).  Adding
+a crossing to a horizontal site maps
+
+    H -> X,   X -> -H + z X + z a V,   V -> a V,
+
+and adding one to a vertical site maps
+
+    V -> X,   X -> -V + z X + z a^-1 H,   H -> a^-1 H.
+
+The walk starts at H if the first site is horizontal and at V if it is
+vertical.  Closing the tangle top to top and bottom to bottom gives
+Lambda = delta h + a^-1 x + v for the vector h H + x X + v V.  The
+2-strand BMW algebra (Birman-Wenzl 1989) is the same relations in
+matrix form.  Cost is linear in crossings times the size of the
+polynomials.
 """
 
 from __future__ import annotations
@@ -291,6 +315,56 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     sw = sum(-s if c in switched else s for c, s in self_signs.items())
     tail = _delta_power(n_comp - 1).shift(a_exp=sw)
     return acc + tail if sign > 0 else acc - tail
+
+
+# ---------------------------------------------------------------------------
+# transfer matrices for standard builds
+
+def _twist_horizontal(h, x, v):
+    """One more crossing on a horizontal site: H -> X, X -> -H + zX + zaV, V -> aV."""
+    xz = x.shift(z_exp=1)
+    return -x, h + xz, (xz + v).shift(a_exp=1)
+
+
+def _twist_vertical(h, x, v):
+    """One more crossing on a vertical site: V -> X, X -> -V + zX + z/a H, H -> H/a."""
+    xz = x.shift(z_exp=1)
+    return (h + xz).shift(a_exp=-1), v + xz, -x
+
+
+def _close(h, x, v) -> LaurentPoly2:
+    return _delta_power(1) * h + x.shift(a_exp=-1) + v
+
+
+def _open_state(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
+    """(H, X, V) vector of the standard build's tangle minus its last crossing.
+
+    Sites alternate axes and the last one is horizontal, as in
+    ``build_standard``, so the last crossing is always a horizontal step.
+    """
+    entries = code.entries
+    n = len(entries)
+    vec = (_ONE, _ZERO, _ZERO) if n % 2 else (_ZERO, _ZERO, _ONE)
+    for i, m in enumerate(entries):
+        step = _twist_horizontal if (n - 1 - i) % 2 == 0 else _twist_vertical
+        for _ in range(m - 1 if i == n - 1 else m):
+            vec = step(*vec)
+    return vec
+
+
+def lambda_code(code) -> LaurentPoly2:
+    """Lambda of ``build_standard(code)``, by transfer matrices."""
+    return _close(*_twist_horizontal(*_open_state(code)))
+
+
+def lambda_code_smoothings(code) -> tuple[LaurentPoly2, LaurentPoly2]:
+    """Lambda of the ZERO and INFINITY smoothings of the build's last crossing.
+
+    They equal ``lambda_poly(smooth(build_standard(code), c - 1, mode))``
+    for ZERO and INFINITY, c being the crossing count.
+    """
+    h, x, v = _open_state(code)
+    return h + x.shift(a_exp=1) + _delta_power(1) * v, _close(h, x, v)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,22 @@ Every check produces a VerificationReport: named boolean checks plus
 the computed and predicted coefficient triples, JSON-serializable for
 scripting.  Nothing here ever adjusts a computed value to match a
 prediction; a failed check stays failed in the report.
+
+Checks on a code evaluate its standard build with the transfer-matrix
+engine (``lambda_code``); only diagrams that are not a standard build,
+such as mirrors, connected sums and PD input, go to the skein engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import INFINITY, ZERO, LinkDiagram, build_standard, connected_sum, mirror, smooth
+from .diagram import LinkDiagram, build_standard, connected_sum, mirror
 from .kauffman import (
     LaurentPoly2,
     TruncatedLambda,
+    lambda_code,
+    lambda_code_smoothings,
     lambda_poly,
     mirror_poly,
     truncate,
@@ -23,6 +29,8 @@ from .notation import ConwayCode, NotationError, census, enumerate_standard, min
 TOP_HEAVY = "top_heavy"
 BOTTOM_HEAVY = "bottom_heavy"
 BALANCED = "balanced"
+
+MAX_SWEEP_CROSSINGS = 16
 
 
 @dataclass
@@ -91,11 +99,10 @@ def _degree_ok(p: LaurentPoly2, crossings: int) -> bool:
     return p.max_weight() <= crossings and p.max_z() == crossings - 1
 
 
-def verify_twist_counts(code: ConwayCode, cache=None) -> VerificationReport:
+def verify_twist_counts(code: ConwayCode) -> VerificationReport:
     """Compare computed u coefficients with the site-count prediction."""
     tc = census(code)
-    d = build_standard(code)
-    p = lambda_poly(d, cache)
+    p = lambda_code(code)
     t = truncate(p, tc.crossings)
     expect = predicted_u(tc)
     want_balanced = tc.sites % 2 == 0 or tc.crossings < 3
@@ -113,7 +120,7 @@ def verify_twist_counts(code: ConwayCode, cache=None) -> VerificationReport:
     return rep
 
 
-def verify_minimal_reduction(code: ConwayCode, cache=None) -> VerificationReport:
+def verify_minimal_reduction(code: ConwayCode) -> VerificationReport:
     """Check that extra crossings only shift the truncated polynomial.
 
     A code and the minimal code with the same number of sites must
@@ -123,8 +130,8 @@ def verify_minimal_reduction(code: ConwayCode, cache=None) -> VerificationReport
     """
     tc = census(code)
     small = minimal_code(tc)
-    t_big = truncate(lambda_poly(build_standard(code), cache), tc.crossings)
-    t_small = truncate(lambda_poly(build_standard(small), cache), small.crossings)
+    t_big = truncate(lambda_code(code), tc.crossings)
+    t_small = truncate(lambda_code(small), small.crossings)
     rep = VerificationReport(
         input=str(code),
         crossings=tc.crossings,
@@ -136,7 +143,7 @@ def verify_minimal_reduction(code: ConwayCode, cache=None) -> VerificationReport
     return rep
 
 
-def verify_truncated_skein(code: ConwayCode, cache=None) -> VerificationReport:
+def verify_truncated_skein(code: ConwayCode) -> VerificationReport:
     """Check the one-sided skein shape of the two top rows.
 
     Switching the last crossing of an alternating standard build drops
@@ -147,12 +154,9 @@ def verify_truncated_skein(code: ConwayCode, cache=None) -> VerificationReport:
     tc = census(code)
     if tc.crossings < 3:
         raise ValueError("needs at least three crossings to see two clean rows")
-    d = build_standard(code)
-    x = d.crossings - 1
-    p = lambda_poly(d, cache)
-    rhs = (
-        lambda_poly(smooth(d, x, ZERO), cache) + lambda_poly(smooth(d, x, INFINITY), cache)
-    ) * LaurentPoly2.monomial(1, 0, 1)
+    p = lambda_code(code)
+    zero, infinity = lambda_code_smoothings(code)
+    rhs = (zero + infinity) * LaurentPoly2.monomial(1, 0, 1)
     ok = True
     for row in (tc.crossings - 1, tc.crossings - 2):
         if p.z_row(row) != rhs.z_row(row):
@@ -168,9 +172,8 @@ def verify_truncated_skein(code: ConwayCode, cache=None) -> VerificationReport:
 
 def verify_connected_sum(code1: ConwayCode, code2: ConwayCode, cache=None) -> VerificationReport:
     """Check multiplicativity and the degree deficit of a connected sum."""
-    d1, d2 = build_standard(code1), build_standard(code2)
-    p1, p2 = lambda_poly(d1, cache), lambda_poly(d2, cache)
-    d = connected_sum(d1, d2)
+    p1, p2 = lambda_code(code1), lambda_code(code2)
+    d = connected_sum(build_standard(code1), build_standard(code2))
     p = lambda_poly(d, cache)
     c = d.crossings
     rep = VerificationReport(input=f"{code1} # {code2}", crossings=c)
@@ -208,37 +211,43 @@ def check_diagram(
 def verify_mirror(code: ConwayCode, cache=None) -> VerificationReport:
     """Check that the mirrored build's polynomial is Lambda with a -> 1/a."""
     tc = census(code)
-    d = build_standard(code)
-    p = lambda_poly(d, cache)
+    p = lambda_code(code)
     rep = VerificationReport(
         input=str(code),
         crossings=tc.crossings,
         sites=tc.sites,
         computed_u=truncate(p, tc.crossings).u,
     )
-    rep.checks["substitution_match"] = lambda_poly(mirror(d), cache) == mirror_poly(p)
+    q = lambda_poly(mirror(build_standard(code)), cache)
+    rep.checks["substitution_match"] = q == mirror_poly(p)
     return rep
 
 
-def verify_code(code: ConwayCode, cache=None) -> VerificationReport:
-    """Run every check that applies to one code, on one memo, and merge the results."""
-    cache = {} if cache is None else cache
+def verify_code(code: ConwayCode) -> VerificationReport:
+    """Run every check that applies to one code and merge the results."""
     tc = census(code)
-    rep = verify_twist_counts(code, cache)
+    rep = verify_twist_counts(code)
     if not (tc.sites == 1 and tc.crossings == 2):
-        rep.checks.update(verify_minimal_reduction(code, cache).checks)
+        rep.checks.update(verify_minimal_reduction(code).checks)
     if tc.crossings >= 3:
-        rep.checks.update(verify_truncated_skein(code, cache).checks)
+        rep.checks.update(verify_truncated_skein(code).checks)
     return rep
 
 
-def sweep(max_crossings: int, cache=None) -> list[VerificationReport]:
-    """verify_code over every standard code with 2..max_crossings crossings, on one memo."""
+def sweep(max_crossings: int) -> list[VerificationReport]:
+    """verify_code over every standard code with 2..max_crossings crossings.
+
+    There are 2^(N-2) codes up to N crossings, so a sweep above
+    MAX_SWEEP_CROSSINGS is refused up front rather than left running.
+    """
     if max_crossings < 2:
         raise NotationError("standard-format codes need at least two crossings")
-    cache = {} if cache is None else cache
-    reports = []
-    for c in range(2, max_crossings + 1):
-        for code in enumerate_standard(c):
-            reports.append(verify_code(code, cache))
-    return reports
+    if max_crossings > MAX_SWEEP_CROSSINGS:
+        raise NotationError(
+            f"sweeps stop at {MAX_SWEEP_CROSSINGS} crossings, got {max_crossings}"
+        )
+    return [
+        verify_code(code)
+        for c in range(2, max_crossings + 1)
+        for code in enumerate_standard(c)
+    ]

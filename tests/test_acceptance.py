@@ -26,6 +26,8 @@ from twistlab.diagram import (
 )
 from twistlab.kauffman import (
     LaurentPoly2,
+    lambda_code,
+    lambda_code_smoothings,
     lambda_poly,
     mirror_poly,
     truncate,
@@ -200,3 +202,21 @@ def test_criterion_10_axiom_property_suite(monkeypatch):
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
     ok = ok and [lambda_poly(d) for d in sub] == cached
     _report("10 axiom-property-suite (50 diagrams)", ok)
+
+
+def test_criterion_11_transfer_matrices_agree_with_the_skein_engine():
+    # criteria 03, 04 and 09 have filled the cache with these diagrams
+    rng = random.Random(1112)
+    codes = [code for c in range(2, 11) for code in enumerate_standard(c)]
+    codes += [rng.choice(enumerate_standard(c)) for c in (11, 12)]
+    ok = True
+    for code in codes:
+        ok = ok and lambda_code(code) == lambda_poly(build_standard(code), _CACHE)
+    n_smoothed = 0
+    for c in range(3, 10):
+        for code in enumerate_standard(c):
+            d = build_standard(code)
+            want = tuple(lambda_poly(smooth(d, c - 1, mode), _CACHE) for mode in (ZERO, INFINITY))
+            ok = ok and lambda_code_smoothings(code) == want
+            n_smoothed += 1
+    _report(f"11 engine-agreement ({len(codes)} codes, {n_smoothed} smoothed)", ok)

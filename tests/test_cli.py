@@ -133,6 +133,21 @@ def test_enumerate_needs_two_crossings(capsys, n):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--enumerate", "--max-crossings", "3", "4", "3"],
+        ["verify", "3", "--max-crossings", "5"],
+        ["verify", "--enumerate", "--max-crossings", "17"],
+    ],
+)
+def test_verify_flag_misuse_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

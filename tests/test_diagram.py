@@ -348,6 +348,11 @@ def test_parse_pd_errors():
         parse_pd([[1, 2, 3, 4], [1, 3, 2, 4]])
 
 
+def test_parse_pd_rejects_text_that_is_not_json():
+    with pytest.raises(PDTypeError):
+        parse_pd("nope")
+
+
 def test_parse_pd_accepts_split_and_summed_diagrams():
     hopf = to_pd(_build("2"))
     trefoil = [[x + 10 for x in row] for row in to_pd(_build("3"))]

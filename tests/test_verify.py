@@ -7,9 +7,15 @@ import json
 import pytest
 
 from twistlab import kauffman
-from twistlab.diagram import build_standard, canonical_key, mirror, parse_pd
+from twistlab.diagram import build_standard, mirror, parse_pd
 from twistlab.kauffman import lambda_poly, truncate
-from twistlab.notation import HopfBaseError, NotationError, enumerate_standard, parse_conway
+from twistlab.notation import (
+    ConwayCode,
+    HopfBaseError,
+    NotationError,
+    enumerate_standard,
+    parse_conway,
+)
 from twistlab.verify import (
     BALANCED,
     BOTTOM_HEAVY,
@@ -173,30 +179,39 @@ def test_verify_code_merges_applicable_checks():
 
 
 def test_verify_code_memo_does_not_change_the_report(monkeypatch):
+    # the reports come from the transfer-matrix engine; the skein engine,
+    # memoized, is the reference for their u triples
     monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
-    code = _code("2 1 1 2")
     memo = {}
-    want = verify_code(code).as_dict()
-    assert verify_code(code, memo).as_dict() == want
-    assert memo
+    codes = [code for c in range(2, 9) for code in enumerate_standard(c)]
+    want = [verify_code(code).as_dict() for code in codes]
+    for code, rep in zip(codes, want):
+        ref = truncate(lambda_poly(build_standard(code), memo), code.crossings)
+        assert rep["computed_u"] == list(ref.u), code
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
-    assert verify_code(code).as_dict() == want
+    assert [verify_code(code).as_dict() for code in codes] == want
 
 
-def test_verify_code_evaluates_each_diagram_once(monkeypatch):
+def test_verify_code_never_enters_the_skein_engine(monkeypatch):
     resolved = []
     real = kauffman._resolve
 
     def counting(d, cache):
-        resolved.append(canonical_key(d))
+        resolved.append(d)
         return real(d, cache)
 
     monkeypatch.setattr(kauffman, "_resolve", counting)
-    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
-    code = _code("2 1 1 2")
-    verify_code(code)
-    assert canonical_key(build_standard(code)) in resolved
-    assert len(resolved) == len(set(resolved))
+    for text in ("2", "3", "4 3", "2 1 1 2", "2 1 3 1 2"):
+        assert verify_code(_code(text)).overall
+    assert sweep(6)
+    assert resolved == []
+
+
+def test_verify_passes_on_a_hundred_crossing_code():
+    code = ConwayCode((2,) + (1,) * 96 + (2,))
+    rep = verify_code(code)
+    assert rep.checks["theorem_match"] and rep.overall
+    assert rep.computed_u == (49, 98, 49)
 
 
 def test_verify_mirror():
@@ -213,8 +228,7 @@ def test_sweep_rejects_too_few_crossings():
 
 
 def test_sweep_passes_and_reports():
-    cache = {}
-    reports = sweep(7, cache)
+    reports = sweep(7)
     assert len(reports) == sum(
         len(enumerate_standard(c)) for c in range(2, 8)
     )
