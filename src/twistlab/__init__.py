@@ -37,7 +37,6 @@ from .kauffman import (
     delta_unlink,
     lambda_code,
     lambda_poly,
-    mirror_poly,
     staggered,
     truncate,
 )

@@ -13,15 +13,8 @@ import argparse
 import json
 import sys
 
-from .diagram import (
-    DiagramError,
-    build_standard,
-    components,
-    connected_sum,
-    mirror,
-    parse_pd,
-)
-from .kauffman import TopDegreeMismatchError, lambda_code, lambda_poly, staggered, truncate
+from .diagram import DiagramError, build_standard, components, parse_pd
+from .kauffman import TopDegreeMismatchError, lambda_code, staggered, truncate
 from .notation import NotationError, census, continued_fraction, parse_conway
 from .verify import (
     VerificationReport,
@@ -43,7 +36,6 @@ def _parse_code(tokens):
 def cmd_compute(args):
     code = _parse_code(args.code)
     tc = census(code)
-    d = build_standard(code)
     p = lambda_code(code)
     t = truncate(p, tc.crossings)
     frac = continued_fraction(code)
@@ -51,23 +43,22 @@ def cmd_compute(args):
         "code": str(code),
         "crossings": tc.crossings,
         "sites": tc.sites,
-        "components": components(d),
+        "components": components(build_standard(code)),
         "fraction": [frac.numerator, frac.denominator],
         "lambda": [list(term) for term in p.terms()],
         "u": list(t.u),
-        "top_pair_present": True,
         "chirality": chirality_class(t),
         "amphicheiral": amphicheiral_obstruction(code),
     }
     lines = [
         f"code: {code}",
         f"crossings: {tc.crossings}  sites: {tc.sites}"
-        f"  components: {components(d)}  fraction: {frac}",
+        f"  components: {payload['components']}  fraction: {frac}",
         f"Lambda = {p.pretty()}",
         "top rows:",
         staggered(p, tc.crossings),
-        f"u = {t.u}  chirality: {chirality_class(t)}"
-        f"  amphicheiral: {amphicheiral_obstruction(code)}",
+        f"u = {t.u}  chirality: {payload['chirality']}"
+        f"  amphicheiral: {payload['amphicheiral']}",
     ]
     return 0, payload, lines
 
@@ -98,9 +89,8 @@ def cmd_verify(args):
 
 def cmd_mirror(args):
     code = _parse_code(args.code)
-    memo: dict = {}
-    rep = verify_mirror(code, memo)
-    q = lambda_poly(mirror(build_standard(code)), memo)
+    rep = verify_mirror(code)
+    q = rep.polynomial
     u_mirror = truncate(q, rep.crossings).u
     ok = rep.checks["substitution_match"]
     payload = {
@@ -120,9 +110,8 @@ def cmd_mirror(args):
 def cmd_sum(args):
     code1 = _parse_code([args.code1])
     code2 = _parse_code([args.code2])
-    memo: dict = {}
-    rep = verify_connected_sum(code1, code2, memo)
-    p = lambda_poly(connected_sum(build_standard(code1), build_standard(code2)), memo)
+    rep = verify_connected_sum(code1, code2)
+    p = rep.polynomial
     c = rep.crossings
     payload = {
         "codes": [str(code1), str(code2)],

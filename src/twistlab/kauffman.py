@@ -41,6 +41,16 @@ Lambda = delta h + a^-1 x + v for the vector h H + x X + v V.  The
 2-strand BMW algebra (Birman-Wenzl 1989) is the same relations in
 matrix form.  Cost is linear in crossings times the size of the
 polynomials.
+
+Work that could not finish is refused up front.  The skein engine
+takes at most MAX_SKEIN_CROSSINGS = 14 crossings: on the standard build
+of 2 1...1 2 (2 vCPUs, Python 3.11) it took 6.4 s at 12 crossings,
+15.9 s at 13 and 34.9 s at 14, and did not finish within 80 s at 15,
+about x2.4 per crossing.  Larger diagrams raise SkeinBudgetError.  The
+transfer walk takes at most MAX_CODE_CROSSINGS = 200 crossings: the
+polynomials grow with the code, so verify_code took 0.85 s on 2 1x96 2
+(100 crossings) and 7.1 s on 2 1x196 2 (200), about x8 for twice the
+crossings.  Larger codes raise CodeBudgetError.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from dataclasses import dataclass
 from .diagram import (
     INFINITY,
     ZERO,
+    DiagramError,
     EmptyDiagramError,
     LinkDiagram,
     _rotate_crossings,
@@ -61,8 +72,20 @@ from .diagram import (
     remove_curls,
     smooth,
 )
+from .notation import NotationError
 
 _CACHE_ENV = "TWISTLAB_CACHE"
+
+MAX_CODE_CROSSINGS = 200
+MAX_SKEIN_CROSSINGS = 14
+
+
+class CodeBudgetError(NotationError):
+    """The code has more crossings than the transfer walk accepts."""
+
+
+class SkeinBudgetError(DiagramError):
+    """The diagram has more crossings than the skein engine accepts."""
 
 
 class LaurentPoly2:
@@ -244,18 +267,18 @@ def _delta_power(k: int) -> LaurentPoly2:
     return _DELTA_POWERS[k]
 
 
-def mirror_poly(p: LaurentPoly2) -> LaurentPoly2:
-    """Polynomial of the mirror image: substitute a -> 1/a."""
-    return p.mirror_a()
-
-
 def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
     """Kauffman regular-isotopy polynomial of a diagram.
 
     Pass a dict as cache to share memoized subdiagram values across
     calls; by default each call uses a private dict.  Nothing at all
     is memoized, not even in a passed dict, when TWISTLAB_CACHE=off.
+    Diagrams above MAX_SKEIN_CROSSINGS crossings are refused.
     """
+    if d.crossings > MAX_SKEIN_CROSSINGS:
+        raise SkeinBudgetError(
+            f"the skein engine stops at {MAX_SKEIN_CROSSINGS} crossings, got {d.crossings}"
+        )
     if os.environ.get(_CACHE_ENV, "").strip().lower() in {"off", "0", "false", "no"}:
         cache = None
     elif cache is None:
@@ -341,7 +364,12 @@ def _open_state(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
 
     Sites alternate axes and the last one is horizontal, as in
     ``build_standard``, so the last crossing is always a horizontal step.
+    Codes above MAX_CODE_CROSSINGS crossings are refused.
     """
+    if code.crossings > MAX_CODE_CROSSINGS:
+        raise CodeBudgetError(
+            f"codes stop at {MAX_CODE_CROSSINGS} crossings, got {code.crossings}"
+        )
     entries = code.entries
     n = len(entries)
     vec = (_ONE, _ZERO, _ZERO) if n % 2 else (_ZERO, _ZERO, _ONE)

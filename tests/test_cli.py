@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from twistlab import kauffman
 from twistlab.cli import main
 from twistlab.kauffman import LaurentPoly2, lambda_poly
-from twistlab.diagram import build_standard
+from twistlab.diagram import build_standard, connected_sum, mirror, to_pd
 from twistlab.notation import parse_conway
 
 from helpers import DATA
@@ -160,3 +162,52 @@ def test_cache_env_does_not_change_output(monkeypatch, capsys):
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
     assert main(["compute", "2 1 2", "--json"]) == 0
     assert capsys.readouterr().out == with_cache
+
+
+def _skein_calls(monkeypatch, run):
+    calls = []
+    real = kauffman._resolve
+
+    def counting(d, cache):
+        calls.append(d)
+        return real(d, cache)
+
+    monkeypatch.setattr(kauffman, "_resolve", counting)
+    run()
+    monkeypatch.setattr(kauffman, "_resolve", real)
+    return len(calls)
+
+
+def test_mirror_and_sum_evaluate_their_diagram_once(monkeypatch, capsys):
+    # with no memo, a second skein run would double the _resolve count
+    monkeypatch.setenv("TWISTLAB_CACHE", "off")
+    code = parse_conway("2 1 1 2")
+    once = _skein_calls(monkeypatch, lambda: lambda_poly(mirror(build_standard(code))))
+    assert _skein_calls(monkeypatch, lambda: main(["mirror", "2", "1", "1", "2"])) == once
+    d = connected_sum(build_standard(parse_conway("2 1 2")), build_standard(parse_conway("3")))
+    once = _skein_calls(monkeypatch, lambda: lambda_poly(d))
+    assert _skein_calls(monkeypatch, lambda: main(["sum", "2 1 2", "3"])) == once
+    assert "product_match: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "2000"],
+        ["verify", "201"],
+        ["mirror", "5", "4", "1_0", "1,2"],  # 22 crossings
+        ["sum", "2 1 1 1 2", "2 1 1 1 1 2"],  # 15 crossings
+        ["pd", "--file", "BIG"],  # one 15-crossing record
+    ],
+)
+def test_work_over_budget_is_refused_at_once(tmp_path, capsys, argv):
+    big = tmp_path / "big.jsonl"
+    pd = to_pd(build_standard(parse_conway("2 1 1 1 1 1 1 1 1 1 1 1 2")))
+    big.write_text(json.dumps({"name": "big", "pd": pd}) + "\n", encoding="utf-8")
+    argv = [str(big) if a == "BIG" else a for a in argv]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

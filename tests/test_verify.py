@@ -7,7 +7,7 @@ import json
 import pytest
 
 from twistlab import kauffman
-from twistlab.diagram import build_standard, mirror, parse_pd
+from twistlab.diagram import build_standard, connected_sum, mirror, parse_pd
 from twistlab.kauffman import lambda_poly, truncate
 from twistlab.notation import (
     ConwayCode,
@@ -68,7 +68,7 @@ def test_twist_count_report_fields():
     assert set(d) == {"input", "c", "sites", "computed_u", "predicted_u", "checks", "overall"}
     assert d["input"] == "2 2" and d["c"] == 4 and d["sites"] == 2
     assert d["computed_u"] == [1, 2, 1] and d["overall"] is True
-    assert set(rep.checks) == {"degree_bounds", "top_pair", "theorem_match", "chirality"}
+    assert set(rep.checks) == {"degree_bounds", "theorem_match", "chirality"}
 
 
 def test_side_counts_sum_to_total_on_sweep():
@@ -118,6 +118,8 @@ def test_connected_sum_report():
     assert rep.checks == {"product_match": True, "sum_top_degree": True}
     rep = verify_connected_sum(_code("3"), _code("3"))
     assert rep.overall and rep.crossings == 6
+    trefoil = build_standard(_code("3"))
+    assert rep.polynomial == lambda_poly(connected_sum(trefoil, trefoil))
 
 
 def test_chirality_classes():
@@ -166,7 +168,6 @@ def test_verify_code_merges_applicable_checks():
     rep = verify_code(_code("4 3"))
     assert set(rep.checks) == {
         "degree_bounds",
-        "top_pair",
         "theorem_match",
         "chirality",
         "reduction_match",
@@ -219,6 +220,7 @@ def test_verify_mirror():
         rep = verify_mirror(_code(text))
         assert rep.checks == {"substitution_match": True}
         assert rep.computed_u == truncate(lambda_poly(build_standard(_code(text))), rep.crossings).u
+        assert rep.polynomial == lambda_poly(mirror(build_standard(_code(text))))
 
 
 def test_sweep_rejects_too_few_crossings():
