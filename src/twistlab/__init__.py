@@ -58,10 +58,7 @@ from .verify import (
     sweep,
     verify_code,
     verify_connected_sum,
-    verify_minimal_reduction,
     verify_mirror,
-    verify_truncated_skein,
-    verify_twist_counts,
 )
 
 __version__ = "0.1.0"

@@ -11,8 +11,11 @@ distance from the end of the code.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+_TWIST_COUNT = re.compile(r"[+-]?[0-9]+")
 
 
 class NotationError(ValueError):
@@ -90,17 +93,18 @@ class TwistCensus:
 
 
 def parse_conway(text: str) -> ConwayCode:
-    """Parse whitespace-separated twist counts into a ConwayCode."""
+    """Parse whitespace-separated twist counts into a ConwayCode.
+
+    A count is ASCII digits with an optional sign; underscores and
+    non-ASCII digits, which ``int`` would accept, are refused.
+    """
     tokens = text.split()
     if not tokens:
         raise EmptyInputError("no twist counts given")
-    entries = []
     for tok in tokens:
-        try:
-            entries.append(int(tok, 10))
-        except ValueError:
-            raise NonNumericTokenError(f"bad twist count {tok!r}") from None
-    return ConwayCode(tuple(entries))
+        if not _TWIST_COUNT.fullmatch(tok):
+            raise NonNumericTokenError(f"bad twist count {tok!r}")
+    return ConwayCode(tuple(int(tok) for tok in tokens))
 
 
 def census(code: ConwayCode) -> TwistCensus:

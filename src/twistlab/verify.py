@@ -1,16 +1,18 @@
 """Mechanical checks tying polynomial coefficients to twist-site counts.
 
-Every check produces a VerificationReport: named boolean checks plus
-the computed and predicted coefficient triples, JSON-serializable for
-scripting.  A check that evaluates a diagram with the skein engine
-keeps that Lambda in the report's ``polynomial``, which is not
-serialized, so callers print it instead of evaluating it again.
-Nothing here ever adjusts a computed value to match a
-prediction; a failed check stays failed in the report.
+verify_code makes one VerificationReport per code; verify_mirror,
+verify_connected_sum and check_diagram each make one per diagram.  A
+report holds named boolean checks plus the computed and predicted
+coefficient triples, JSON-serializable for scripting.  A check that
+evaluates a diagram with the skein engine keeps that Lambda in the
+report's ``polynomial``, which is not serialized, so callers print it
+instead of evaluating it again.  Nothing here ever adjusts a computed
+value to match a prediction; a failed check stays failed in the report.
 
-Checks on a code evaluate its standard build with the transfer-matrix
-engine (``lambda_code``); only diagrams that are not a standard build,
-such as mirrors, connected sums and PD input, go to the skein engine.
+Checks on a code evaluate its standard build once with the
+transfer-matrix engine (``lambda_code``); only diagrams that are not a
+standard build, such as mirrors, connected sums and PD input, go to the
+skein engine.
 """
 
 from __future__ import annotations
@@ -102,76 +104,6 @@ def _degree_ok(p: LaurentPoly2, crossings: int) -> bool:
     return p.max_weight() <= crossings and p.max_z() == crossings - 1
 
 
-def verify_twist_counts(code: ConwayCode) -> VerificationReport:
-    """Compare computed u coefficients with the site-count prediction."""
-    tc = census(code)
-    p = lambda_code(code)
-    t = truncate(p, tc.crossings)
-    expect = predicted_u(tc)
-    want_balanced = tc.sites % 2 == 0 or tc.crossings < 3
-    rep = VerificationReport(
-        input=str(code),
-        crossings=tc.crossings,
-        sites=tc.sites,
-        computed_u=t.u,
-        predicted=expect,
-    )
-    rep.checks["degree_bounds"] = _degree_ok(p, tc.crossings)
-    rep.checks["theorem_match"] = t.u == expect
-    rep.checks["chirality"] = (chirality_class(t) == BALANCED) == want_balanced
-    return rep
-
-
-def verify_minimal_reduction(code: ConwayCode) -> VerificationReport:
-    """Check that extra crossings only shift the truncated polynomial.
-
-    A code and the minimal code with the same number of sites must
-    share their five leading coefficients, each read at its own top
-    degree.  Raises HopfBaseError for the bare clasp, which has no
-    minimal companion.
-    """
-    tc = census(code)
-    small = minimal_code(tc)
-    t_big = truncate(lambda_code(code), tc.crossings)
-    t_small = truncate(lambda_code(small), small.crossings)
-    rep = VerificationReport(
-        input=str(code),
-        crossings=tc.crossings,
-        sites=tc.sites,
-        computed_u=t_big.u,
-        predicted=t_small.u,
-    )
-    rep.checks["reduction_match"] = t_big.u == t_small.u
-    return rep
-
-
-def verify_truncated_skein(code: ConwayCode) -> VerificationReport:
-    """Check the one-sided skein shape of the two top rows.
-
-    Switching the last crossing of an alternating standard build drops
-    the z-degree by at least three, so in the top two rows the skein
-    relation loses its switched term: there the polynomial must equal
-    z times the sum over both smoothings at that crossing.
-    """
-    tc = census(code)
-    if tc.crossings < 3:
-        raise ValueError("needs at least three crossings to see two clean rows")
-    p = lambda_code(code)
-    zero, infinity = lambda_code_smoothings(code)
-    rhs = (zero + infinity) * LaurentPoly2.monomial(1, 0, 1)
-    ok = True
-    for row in (tc.crossings - 1, tc.crossings - 2):
-        if p.z_row(row) != rhs.z_row(row):
-            ok = False
-    rep = VerificationReport(
-        input=str(code),
-        crossings=tc.crossings,
-        sites=tc.sites,
-    )
-    rep.checks["skein_truncated"] = ok
-    return rep
-
-
 def verify_connected_sum(code1: ConwayCode, code2: ConwayCode) -> VerificationReport:
     """Check multiplicativity and the degree deficit of a connected sum."""
     p1, p2 = lambda_code(code1), lambda_code(code2)
@@ -227,13 +159,43 @@ def verify_mirror(code: ConwayCode) -> VerificationReport:
 
 
 def verify_code(code: ConwayCode) -> VerificationReport:
-    """Run every check that applies to one code and merge the results."""
+    """Run every check that applies to one code on one evaluation of it.
+
+    degree_bounds, theorem_match and chirality compare the truncated
+    Lambda with the site-count prediction.  reduction_match (all but
+    the clasp) checks that extra crossings only shift the truncated
+    polynomial: the code and the minimal code with the same number of
+    sites share their five leading coefficients, each read at its own
+    top degree.  skein_truncated (three or more crossings) checks the
+    one-sided skein shape of the two top rows: switching the last
+    crossing of an alternating standard build drops the z-degree by at
+    least three, so there Lambda must equal z times the sum over both
+    smoothings at that crossing.
+    """
     tc = census(code)
-    rep = verify_twist_counts(code)
+    p = lambda_code(code)
+    t = truncate(p, tc.crossings)
+    expect = predicted_u(tc)
+    rep = VerificationReport(
+        input=str(code),
+        crossings=tc.crossings,
+        sites=tc.sites,
+        computed_u=t.u,
+        predicted=expect,
+    )
+    want_balanced = tc.sites % 2 == 0 or tc.crossings < 3
+    rep.checks["degree_bounds"] = _degree_ok(p, tc.crossings)
+    rep.checks["theorem_match"] = t.u == expect
+    rep.checks["chirality"] = (chirality_class(t) == BALANCED) == want_balanced
     if not (tc.sites == 1 and tc.crossings == 2):
-        rep.checks.update(verify_minimal_reduction(code).checks)
+        small = minimal_code(tc)
+        t_small = truncate(lambda_code(small), small.crossings)
+        rep.checks["reduction_match"] = t.u == t_small.u
     if tc.crossings >= 3:
-        rep.checks.update(verify_truncated_skein(code).checks)
+        zero, infinity = lambda_code_smoothings(code)
+        rhs = (zero + infinity) * LaurentPoly2.monomial(1, 0, 1)
+        rows = (tc.crossings - 1, tc.crossings - 2)
+        rep.checks["skein_truncated"] = all(p.z_row(r) == rhs.z_row(r) for r in rows)
     return rep
 
 

@@ -110,6 +110,14 @@ def test_input_errors_exit_two(capsys):
     assert main(["pd", "--file", FIXTURES, "--expect", "1,2"]) == 2
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663"])
+def test_non_ascii_or_underscored_counts_exit_two(capsys, token):
+    assert main(["compute", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "pd",
     [
@@ -195,7 +203,7 @@ def test_mirror_and_sum_evaluate_their_diagram_once(monkeypatch, capsys):
     [
         ["compute", "2000"],
         ["verify", "201"],
-        ["mirror", "5", "4", "1_0", "1,2"],  # 22 crossings
+        ["mirror", "5", "4", "10", "1,2"],  # 22 crossings
         ["sum", "2 1 1 1 2", "2 1 1 1 1 2"],  # 15 crossings
         ["pd", "--file", "BIG"],  # one 15-crossing record
     ],

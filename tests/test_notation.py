@@ -46,6 +46,13 @@ def test_parse_rejects_garbage():
         parse_conway("2 -1 2")
 
 
+def test_parse_takes_only_ascii_digits():
+    assert parse_conway("+2 1 +2").entries == (2, 1, 2)
+    for bad in ("1_0", "٣", "2 ３", "0x3", "3.0", "++3"):
+        with pytest.raises(NonNumericTokenError):
+            parse_conway(bad)
+
+
 def test_end_entries_need_two_crossings():
     for bad in ("1", "1 2", "2 1", "1 1 1"):
         with pytest.raises(EndEntryTooSmallError):

@@ -6,12 +6,12 @@ import json
 
 import pytest
 
-from twistlab import kauffman
+from twistlab import kauffman, verify
+from twistlab.cli import main
 from twistlab.diagram import build_standard, connected_sum, mirror, parse_pd
-from twistlab.kauffman import lambda_poly, truncate
+from twistlab.kauffman import LaurentPoly2, lambda_poly, truncate
 from twistlab.notation import (
     ConwayCode,
-    HopfBaseError,
     NotationError,
     enumerate_standard,
     parse_conway,
@@ -26,10 +26,7 @@ from twistlab.verify import (
     sweep,
     verify_code,
     verify_connected_sum,
-    verify_minimal_reduction,
     verify_mirror,
-    verify_truncated_skein,
-    verify_twist_counts,
 )
 
 from helpers import DATA
@@ -56,19 +53,25 @@ def test_twist_counts_on_known_codes():
         ("2 1 1 1 2", (2, 5, 3)),
         ("4 3", (1, 2, 1)),
     ):
-        rep = verify_twist_counts(_code(text))
+        rep = verify_code(_code(text))
         assert rep.overall, rep.summary()
         assert rep.computed_u == want
         assert rep.predicted == want
 
 
 def test_twist_count_report_fields():
-    rep = verify_twist_counts(_code("2 2"))
+    rep = verify_code(_code("2 2"))
     d = rep.as_dict()
     assert set(d) == {"input", "c", "sites", "computed_u", "predicted_u", "checks", "overall"}
     assert d["input"] == "2 2" and d["c"] == 4 and d["sites"] == 2
     assert d["computed_u"] == [1, 2, 1] and d["overall"] is True
-    assert set(rep.checks) == {"degree_bounds", "theorem_match", "chirality"}
+    assert set(rep.checks) == {
+        "degree_bounds",
+        "theorem_match",
+        "chirality",
+        "reduction_match",
+        "skein_truncated",
+    }
 
 
 def test_side_counts_sum_to_total_on_sweep():
@@ -81,22 +84,19 @@ def test_side_counts_sum_to_total_on_sweep():
 
 
 def test_minimal_reduction():
-    rep = verify_minimal_reduction(_code("4 3"))
-    assert rep.overall and rep.computed_u == rep.predicted == (1, 2, 1)
-    rep = verify_minimal_reduction(_code("5"))
-    assert rep.overall and rep.computed_u == (0, 1, 1)
-    rep = verify_minimal_reduction(_code("2 1 1 1 2"))
-    assert rep.overall  # already minimal, trivially equal
-    with pytest.raises(HopfBaseError):
-        verify_minimal_reduction(_code("2"))
+    rep = verify_code(_code("4 3"))
+    assert rep.checks["reduction_match"] and rep.computed_u == rep.predicted == (1, 2, 1)
+    rep = verify_code(_code("5"))
+    assert rep.checks["reduction_match"] and rep.computed_u == (0, 1, 1)
+    rep = verify_code(_code("2 1 1 1 2"))
+    assert rep.checks["reduction_match"]  # already minimal, trivially equal
+    assert "reduction_match" not in verify_code(_code("2")).checks
 
 
 def test_truncated_skein_checks():
     for text in ("3", "2 2", "4 3", "2 1 1 1 2"):
-        rep = verify_truncated_skein(_code(text))
-        assert rep.checks == {"skein_truncated": True}
-    with pytest.raises(ValueError):
-        verify_truncated_skein(_code("2"))
+        assert verify_code(_code(text)).checks["skein_truncated"] is True
+    assert "skein_truncated" not in verify_code(_code("2")).checks
 
 
 def test_truncated_skein_holds_at_a_first_site_crossing_too():
@@ -206,6 +206,69 @@ def test_verify_code_never_enters_the_skein_engine(monkeypatch):
         assert verify_code(_code(text)).overall
     assert sweep(6)
     assert resolved == []
+
+
+def test_verify_code_makes_at_most_three_walks(monkeypatch):
+    # one walk for the code, one for its smoothings, one for its minimal code
+    walks = []
+    real = kauffman._open_state
+
+    def counting(code):
+        walks.append(code)
+        return real(code)
+
+    monkeypatch.setattr(kauffman, "_open_state", counting)
+    for text in ("3", "4 3", "2 1 1 2"):
+        walks.clear()
+        verify_code(_code(text))
+        assert len(walks) <= 3, (text, walks)
+    walks.clear()
+    verify_code(_code("2"))
+    assert len(walks) == 1
+
+
+def _wrong_prediction(monkeypatch):
+    monkeypatch.setattr(verify, "predicted_u", lambda tc: (0, 0, 0))
+
+
+def _wrong_smoothings(monkeypatch):
+    real = verify.lambda_code_smoothings
+
+    def wrong(code):
+        zero, infinity = real(code)
+        return zero, infinity + LaurentPoly2.monomial(1, 0, code.crossings - 3)
+
+    monkeypatch.setattr(verify, "lambda_code_smoothings", wrong)
+
+
+def _wrong_minimal_polynomial(monkeypatch):
+    real = verify.lambda_code
+
+    def wrong(code):
+        p = real(code)
+        if code != _code("4 3"):
+            p = p + LaurentPoly2.monomial(1, 2, code.crossings - 2)
+        return p
+
+    monkeypatch.setattr(verify, "lambda_code", wrong)
+
+
+@pytest.mark.parametrize(
+    "break_it, check",
+    [
+        (_wrong_prediction, "theorem_match"),
+        (_wrong_smoothings, "skein_truncated"),
+        (_wrong_minimal_polynomial, "reduction_match"),
+    ],
+)
+def test_verify_reports_a_wrong_value_as_failed(monkeypatch, capsys, break_it, check):
+    break_it(monkeypatch)
+    rep = verify_code(_code("4 3"))
+    assert rep.checks[check] is False and not rep.overall
+    assert main(["verify", "4", "3"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["verify", "4", "3", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["overall"] is False
 
 
 def test_verify_passes_on_a_hundred_crossing_code():
