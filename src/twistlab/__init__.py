@@ -8,15 +8,11 @@ z row count the diagram's twist sites by turning direction.
 """
 
 from .diagram import (
-    AXIAL,
-    CROSS_SECTIONAL,
     INFINITY,
     ZERO,
     LinkDiagram,
-    SiteTag,
     build_standard,
     canonical_key,
-    classify_smoothing,
     components,
     connected_sum,
     diagram_from_arcs,

@@ -28,16 +28,9 @@ what ``canonical_key`` quotients out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 ZERO = "zero"
 INFINITY = "infinity"
-
-AXIAL = "axial"
-CROSS_SECTIONAL = "cross_sectional"
-
-HORIZONTAL = "h"
-VERTICAL = "v"
 
 
 class DiagramError(ValueError):
@@ -45,10 +38,6 @@ class DiagramError(ValueError):
 
 
 class UnknownCrossingError(DiagramError):
-    pass
-
-
-class UntaggedCrossingError(DiagramError):
     pass
 
 
@@ -76,27 +65,14 @@ class NonPlanarError(DiagramError):
     pass
 
 
-@dataclass(frozen=True)
-class SiteTag:
-    """Provenance of a crossing inside a standard-format build.
-
-    site is the 0-based index of the twist site in the Conway code,
-    axis is "h" or "v" for the direction the site twists along.
-    """
-
-    site: int
-    axis: str
-
-
 class LinkDiagram:
-    """Immutable diagram: endpoint matching, free circles, site tags."""
+    """Immutable diagram: endpoint matching and free circles."""
 
-    __slots__ = ("mate", "free_loops", "tags", "_canon")
+    __slots__ = ("mate", "free_loops", "_canon")
 
-    def __init__(self, mate, free_loops=0, tags=None):
+    def __init__(self, mate, free_loops=0):
         mate = tuple(mate)
-        n, rem = divmod(len(mate), 4)
-        if rem:
+        if len(mate) % 4:
             raise DiagramError("endpoint count must be a multiple of four")
         for e, m in enumerate(mate):
             if not isinstance(m, int) or not 0 <= m < len(mate):
@@ -105,15 +81,8 @@ class LinkDiagram:
                 raise DiagramError(f"matching is not a fixed-point-free involution at {e}")
         if free_loops < 0:
             raise DiagramError("free loop count cannot be negative")
-        if tags is None:
-            tags = (None,) * n
-        else:
-            tags = tuple(tags)
-            if len(tags) != n:
-                raise DiagramError("need one tag slot per crossing")
         self.mate = mate
         self.free_loops = free_loops
-        self.tags = tags
         self._canon = None
 
     @property
@@ -132,7 +101,7 @@ class LinkDiagram:
         return f"<LinkDiagram crossings={self.crossings} loops={self.free_loops}>"
 
 
-def diagram_from_arcs(crossing_count, arcs, free_loops=0, tags=None) -> LinkDiagram:
+def diagram_from_arcs(crossing_count, arcs, free_loops=0) -> LinkDiagram:
     """Build a diagram from arcs given as ((crossing, slot), (crossing, slot))."""
     mate = [-1] * (4 * crossing_count)
     for (c1, s1), (c2, s2) in arcs:
@@ -144,7 +113,7 @@ def diagram_from_arcs(crossing_count, arcs, free_loops=0, tags=None) -> LinkDiag
         mate[e1], mate[e2] = e2, e1
     if any(m == -1 for m in mate):
         raise DiagramError("arc list leaves open slots")
-    return LinkDiagram(tuple(mate), free_loops, tags)
+    return LinkDiagram(tuple(mate), free_loops)
 
 
 def unlink(components: int) -> LinkDiagram:
@@ -256,6 +225,9 @@ _SMOOTH_PAIRS = {ZERO: ((0, 1), (2, 3)), INFINITY: ((0, 3), (1, 2))}
 # kink arcs by slot pair, with their writhe contribution
 _CURL_SIGN = {(0, 1): 1, (2, 3): 1, (1, 2): -1, (3, 0): -1}
 
+# bridges that pass both strands of a crossing straight through it
+_STRAIGHT = ((0, 2), (1, 3))
+
 
 def _check_crossing(d: LinkDiagram, crossing: int) -> None:
     if not isinstance(crossing, int) or not 0 <= crossing < d.crossings:
@@ -305,8 +277,7 @@ def _excise(d: LinkDiagram, x: int, pairs) -> LinkDiagram:
             p = d.mate[q]
             if p == r:
                 break
-    tags = d.tags[:x] + d.tags[x + 1:]
-    return LinkDiagram(tuple(new_mate), loops, tags)
+    return LinkDiagram(tuple(new_mate), loops)
 
 
 def smooth(d: LinkDiagram, crossing: int, mode: str) -> LinkDiagram:
@@ -343,53 +314,55 @@ def _rotate_crossings(d: LinkDiagram, crossings) -> LinkDiagram:
     new_mate = [0] * len(d.mate)
     for e, m in enumerate(d.mate):
         new_mate[remap[e]] = remap[m]
-    return LinkDiagram(tuple(new_mate), d.free_loops, d.tags)
+    return LinkDiagram(tuple(new_mate), d.free_loops)
 
 
 def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
-    """Strip kinks until none remain; return the result and the writhe shed.
+    """Strip kinks and Reidemeister II bigons; return the result and the shift.
 
     Each kink is removed by the reconnection that straightens the
     strand: the infinity smoothing for a +1 kink, the zero smoothing
-    for a -1 kink.  Kinks are located first crossing first, first slot
-    pair first; removal is confluent, so the scan order only fixes
-    which of several equal results is produced.
+    for a -1 kink.  A Reidemeister II bigon is a 2-gon face whose
+    strand on one side is over at both of its crossings; both are
+    removed and the strands pass straight through.  Those two crossings
+    have opposite writhe, so the shift is the writhe shed by kinks
+    alone.  A twist bigon, over at one crossing and under at the other,
+    stays.  Moves are found first crossing first, kinks before bigons;
+    each move preserves regular isotopy, so the scan order only fixes
+    which of several results with the same polynomial is produced.
     """
     shift = 0
     while True:
-        found = None
-        for c in range(d.crossings):
-            b = 4 * c
-            for (s1, s2), sign in _CURL_SIGN.items():
-                if d.mate[b + s1] == b + s2:
-                    found = (c, sign)
-                    break
-            if found:
-                break
-        if not found:
+        move = _first_move(d)
+        if move is None:
             return d, shift
-        c, sign = found
-        shift += sign
-        d = smooth(d, c, INFINITY if sign > 0 else ZERO)
+        c, sign, partner = move
+        if partner is None:
+            shift += sign
+            d = smooth(d, c, INFINITY if sign > 0 else ZERO)
+        else:
+            d = _excise(_excise(d, c, _STRAIGHT), partner - (partner > c), _STRAIGHT)
 
 
-def classify_smoothing(d: LinkDiagram, crossing: int, mode: str) -> str:
-    """Whether a smoothing splits its twist site across or along its axis.
+def _first_move(d: LinkDiagram):
+    """First kink as (crossing, writhe, None), or bigon as (crossing, 0, partner).
 
-    The zero smoothing of a horizontal-site crossing cuts the twist
-    region crosswise; the infinity smoothing runs along it.  Vertical
-    sites swap the two.  Only crossings carrying a SiteTag can be
-    classified.
+    Arcs 4c+s -> 4x+t and 4x+t+1 -> 4c+s-1 bound a 2-gon face under the
+    turn rule of ``_face_count``; with s and t of equal parity the strand
+    on the first arc is under at both ends or over at both.
     """
-    _check_crossing(d, crossing)
-    if mode not in _SMOOTH_PAIRS:
-        raise DiagramError(f"unknown smoothing mode {mode!r}")
-    tag = d.tags[crossing]
-    if tag is None:
-        raise UntaggedCrossingError(f"crossing {crossing} carries no site tag")
-    if tag.axis == HORIZONTAL:
-        return CROSS_SECTIONAL if mode == ZERO else AXIAL
-    return AXIAL if mode == ZERO else CROSS_SECTIONAL
+    mate = d.mate
+    for c in range(d.crossings):
+        b = 4 * c
+        for (s1, s2), sign in _CURL_SIGN.items():
+            if mate[b + s1] == b + s2:
+                return c, sign, None
+        for s in range(4):
+            m = mate[b + s]
+            x = m >> 2
+            if x != c and not (m ^ s) & 1 and mate[(m & ~3) | ((m + 1) & 3)] == b + ((s - 1) & 3):
+                return c, 0, x
+    return None
 
 
 def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
@@ -397,17 +370,15 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
 
     The first arc of a diagram is the one through endpoint 0.  Cutting
     both and rejoining crosswise merges one component of each diagram.
-    A crossingless circle acts as the identity.  Site tags do not
-    survive the splice; twist sites of the summands are unrelated to
-    twist sites of the sum.
+    A crossingless circle acts as the identity.
     """
     for d in (d1, d2):
         if d.crossings == 0 and d.free_loops == 0:
             raise EmptyDiagramError("cannot sum with an empty diagram")
     if d1.crossings == 0:
-        return LinkDiagram(d2.mate, d2.free_loops + d1.free_loops - 1, d2.tags)
+        return LinkDiagram(d2.mate, d2.free_loops + d1.free_loops - 1)
     if d2.crossings == 0:
-        return LinkDiagram(d1.mate, d1.free_loops + d2.free_loops - 1, d1.tags)
+        return LinkDiagram(d1.mate, d1.free_loops + d2.free_loops - 1)
     off = len(d1.mate)
     mate = list(d1.mate) + [m + off for m in d2.mate]
     a1, b1 = 0, d1.mate[0]
@@ -431,20 +402,17 @@ def build_standard(code) -> LinkDiagram:
     picture, which is what makes the result alternating.
 
     Crossing ids run in build order, so the last crossing of the last
-    site always has id crossings-1.  Each crossing is tagged with its
-    site index and axis.
+    site always has id crossings-1.
     """
     entries = code.entries
     n_sites = len(entries)
     arcs = []
-    tags = []
     cr = 0
     ends = None  # corner -> (crossing, slot), corners NW NE SW SE
     for i, m in enumerate(entries):
         horizontal = (n_sites - 1 - i) % 2 == 0
         ids = list(range(cr, cr + m))
         cr += m
-        tags.extend(SiteTag(i, HORIZONTAL if horizontal else VERTICAL) for _ in ids)
         for a, b in zip(ids, ids[1:]):
             if horizontal:
                 arcs.append(((a, 1), (b, 2)))
@@ -471,7 +439,7 @@ def build_standard(code) -> LinkDiagram:
                 ends = {"NW": ends["NW"], "NE": ends["NE"], "SW": new["SW"], "SE": new["SE"]}
     arcs.append((ends["NW"], ends["NE"]))
     arcs.append((ends["SW"], ends["SE"]))
-    return diagram_from_arcs(cr, arcs, tags=tags)
+    return diagram_from_arcs(cr, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +450,7 @@ def canonical_key(d: LinkDiagram) -> bytes:
 
     Two diagrams get the same key exactly when one can be turned into
     the other by renumbering crossings and giving some crossings a
-    half-turn slot relabel.  Site tags are deliberately ignored.
+    half-turn slot relabel.
     """
     if d._canon is None:
         d._canon = _compute_key(d)

@@ -166,11 +166,12 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     the clasp) checks that extra crossings only shift the truncated
     polynomial: the code and the minimal code with the same number of
     sites share their five leading coefficients, each read at its own
-    top degree.  skein_truncated (three or more crossings) checks the
-    one-sided skein shape of the two top rows: switching the last
-    crossing of an alternating standard build drops the z-degree by at
-    least three, so there Lambda must equal z times the sum over both
-    smoothings at that crossing.
+    top degree; a code that is its own minimal code is not walked
+    again, and passes.  skein_truncated (three or more crossings)
+    checks the one-sided skein shape of the two top rows: switching the
+    last crossing of an alternating standard build drops the z-degree
+    by at least three, so there Lambda must equal z times the sum over
+    both smoothings at that crossing.
     """
     tc = census(code)
     p = lambda_code(code)
@@ -189,7 +190,7 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     rep.checks["chirality"] = (chirality_class(t) == BALANCED) == want_balanced
     if not (tc.sites == 1 and tc.crossings == 2):
         small = minimal_code(tc)
-        t_small = truncate(lambda_code(small), small.crossings)
+        t_small = t if small == code else truncate(lambda_code(small), small.crossings)
         rep.checks["reduction_match"] = t.u == t_small.u
     if tc.crossings >= 3:
         zero, infinity = lambda_code_smoothings(code)

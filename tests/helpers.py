@@ -5,6 +5,7 @@ from __future__ import annotations
 import pathlib
 import random
 
+from twistlab import kauffman
 from twistlab.diagram import LinkDiagram, diagram_from_arcs
 from twistlab import (
     INFINITY,
@@ -50,7 +51,7 @@ def add_curl(d: LinkDiagram, endpoint: int, sign: int) -> LinkDiagram:
         mate[endpoint], mate[b + 3] = b + 3, endpoint
         mate[f], mate[b + 0] = b + 0, f
         mate[b + 1], mate[b + 2] = b + 2, b + 1
-    return LinkDiagram(tuple(mate), d.free_loops, d.tags + (None,))
+    return LinkDiagram(tuple(mate), d.free_loops)
 
 
 def relabel(d: LinkDiagram, perm, rots=None) -> LinkDiagram:
@@ -65,10 +66,7 @@ def relabel(d: LinkDiagram, perm, rots=None) -> LinkDiagram:
     mate = [-1] * (4 * n)
     for e, m in enumerate(d.mate):
         mate[f(e)] = f(m)
-    tags = [None] * n
-    for c in range(n):
-        tags[perm[c]] = d.tags[c]
-    return LinkDiagram(tuple(mate), d.free_loops, tuple(tags))
+    return LinkDiagram(tuple(mate), d.free_loops)
 
 
 def all_splices(d1: LinkDiagram, d2: LinkDiagram):
@@ -84,6 +82,21 @@ def all_splices(d1: LinkDiagram, d2: LinkDiagram):
                 mate[a1], mate[x2 + off] = x2 + off, a1
                 mate[b1], mate[y2 + off] = y2 + off, b1
                 yield LinkDiagram(tuple(mate))
+
+
+def skein_calls(monkeypatch, run) -> int:
+    """Number of skein nodes (``kauffman._resolve`` calls) that run() makes."""
+    calls = []
+    real = kauffman._resolve
+
+    def counting(d, cache):
+        calls.append(d)
+        return real(d, cache)
+
+    monkeypatch.setattr(kauffman, "_resolve", counting)
+    run()
+    monkeypatch.setattr(kauffman, "_resolve", real)
+    return len(calls)
 
 
 def random_diagrams(count: int, seed: int = 20217, max_crossings: int = 6):

@@ -7,13 +7,12 @@ import time
 
 import pytest
 
-from twistlab import kauffman
 from twistlab.cli import main
 from twistlab.kauffman import LaurentPoly2, lambda_poly
 from twistlab.diagram import build_standard, connected_sum, mirror, to_pd
 from twistlab.notation import parse_conway
 
-from helpers import DATA
+from helpers import DATA, skein_calls
 
 FIXTURES = str(DATA / "links.jsonl")
 
@@ -172,29 +171,15 @@ def test_cache_env_does_not_change_output(monkeypatch, capsys):
     assert capsys.readouterr().out == with_cache
 
 
-def _skein_calls(monkeypatch, run):
-    calls = []
-    real = kauffman._resolve
-
-    def counting(d, cache):
-        calls.append(d)
-        return real(d, cache)
-
-    monkeypatch.setattr(kauffman, "_resolve", counting)
-    run()
-    monkeypatch.setattr(kauffman, "_resolve", real)
-    return len(calls)
-
-
 def test_mirror_and_sum_evaluate_their_diagram_once(monkeypatch, capsys):
     # with no memo, a second skein run would double the _resolve count
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
     code = parse_conway("2 1 1 2")
-    once = _skein_calls(monkeypatch, lambda: lambda_poly(mirror(build_standard(code))))
-    assert _skein_calls(monkeypatch, lambda: main(["mirror", "2", "1", "1", "2"])) == once
+    once = skein_calls(monkeypatch, lambda: lambda_poly(mirror(build_standard(code))))
+    assert skein_calls(monkeypatch, lambda: main(["mirror", "2", "1", "1", "2"])) == once
     d = connected_sum(build_standard(parse_conway("2 1 2")), build_standard(parse_conway("3")))
-    once = _skein_calls(monkeypatch, lambda: lambda_poly(d))
-    assert _skein_calls(monkeypatch, lambda: main(["sum", "2 1 2", "3"])) == once
+    once = skein_calls(monkeypatch, lambda: lambda_poly(d))
+    assert skein_calls(monkeypatch, lambda: main(["sum", "2 1 2", "3"])) == once
     assert "product_match: ok" in capsys.readouterr().out
 
 

@@ -8,11 +8,7 @@ import random
 import pytest
 
 from twistlab.diagram import (
-    AXIAL,
-    CROSS_SECTIONAL,
-    HORIZONTAL,
     INFINITY,
-    VERTICAL,
     ZERO,
     BadArityError,
     DanglingLabelError,
@@ -23,10 +19,8 @@ from twistlab.diagram import (
     NonPlanarError,
     PDTypeError,
     UnknownCrossingError,
-    UntaggedCrossingError,
     build_standard,
     canonical_key,
-    classify_smoothing,
     components,
     connected_sum,
     diagram_from_arcs,
@@ -62,13 +56,15 @@ def test_build_counts():
 
 
 def test_builds_are_alternating_and_curl_free():
+    # every bigon of an alternating diagram is a twist bigon, which
+    # remove_curls must keep
     for c in range(2, 9):
         for code in enumerate_standard(c):
-            d = build_standard(code)
-            assert d.crossings == code.crossings
-            assert is_alternating(d)
-            stripped, shift = remove_curls(d)
-            assert shift == 0 and stripped == d
+            for d in (build_standard(code), mirror(build_standard(code))):
+                assert d.crossings == code.crossings
+                assert is_alternating(d)
+                stripped, shift = remove_curls(d)
+                assert shift == 0 and stripped == d
 
 
 def test_component_count_follows_fraction_parity():
@@ -78,14 +74,6 @@ def test_component_count_follows_fraction_parity():
         for code in enumerate_standard(c):
             want = 2 if continued_fraction(code).numerator % 2 == 0 else 1
             assert components(build_standard(code)) == want
-
-
-def test_build_tags_record_sites_and_axes():
-    d = _build("2 1 1 1 2")
-    axes = [t.axis for t in d.tags]
-    sites = [t.site for t in d.tags]
-    assert axes == ["h", "h", "v", "h", "v", "h", "h"]
-    assert sites == [0, 0, 1, 2, 3, 4, 4]
 
 
 def test_unlink_and_validation():
@@ -106,14 +94,12 @@ def test_trefoil_axial_smoothing_is_hopf():
     tre = _build("3")
     hopf = _build("2")
     for x in range(3):
-        assert classify_smoothing(tre, x, INFINITY) == AXIAL
         assert smooth(tre, x, INFINITY) == hopf
 
 
 def test_trefoil_cross_sectional_smoothing_leaves_two_positive_curls():
     tre = _build("3")
     for x in range(3):
-        assert classify_smoothing(tre, x, ZERO) == CROSS_SECTIONAL
         d, shift = remove_curls(smooth(tre, x, ZERO))
         assert shift == 2
         assert d.crossings == 0 and d.free_loops == 1
@@ -121,16 +107,14 @@ def test_trefoil_cross_sectional_smoothing_leaves_two_positive_curls():
 
 def test_smoothing_singleton_site_axially_merges_neighbours():
     d = _build("2 1 1 1 2")
-    # crossing 4 is the singleton at site 3 (vertical)
-    assert d.tags[4].site == 3 and d.tags[4].axis == VERTICAL
-    assert classify_smoothing(d, 4, ZERO) == AXIAL
+    # crossing 4 is the singleton at site 3, a vertical site, so the zero
+    # smoothing runs along its axis
     assert smooth(d, 4, ZERO) == _build("2 1 3")
 
 
 def test_smoothing_singleton_site_crosswise_gives_a_splice():
     d = _build("2 1 1 1 2")
     cut = smooth(d, 4, INFINITY)
-    assert classify_smoothing(d, 4, INFINITY) == CROSS_SECTIONAL
     stripped, shift = remove_curls(cut)
     assert shift == 0
     assert any(s == stripped for s in all_splices(_build("2 2"), _build("2")))
@@ -161,12 +145,6 @@ def test_smooth_rejects_bad_input():
         smooth(d, 2, ZERO)
     with pytest.raises(DiagramError):
         smooth(d, 0, "sideways")
-
-
-def test_classify_requires_a_tag():
-    d = parse_pd(to_pd(_build("3")))
-    with pytest.raises(UntaggedCrossingError):
-        classify_smoothing(d, 0, ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +226,26 @@ def test_remove_curls_on_clean_diagram():
     assert remove_curls(d) == (d, 0)
 
 
+def test_switched_clasp_cancels_to_an_unlink():
+    assert remove_curls(switch(_build("2"), 0)) == (unlink(2), 0)
+
+
+def test_bigon_cancellation_ignores_crossing_labels():
+    rng = random.Random(17)
+    for c in range(3, 8):
+        for code in enumerate_standard(c):
+            d = build_standard(code)
+            for k in range(d.crossings):
+                s = switch(d, k)
+                stripped, shift = remove_curls(s)
+                perm = list(range(s.crossings))
+                rng.shuffle(perm)
+                rots = [rng.choice([0, 2]) for _ in perm]
+                other, other_shift = remove_curls(relabel(s, perm, rots))
+                assert other_shift == shift
+                assert canonical_key(other) == canonical_key(stripped), (code, k)
+
+
 def test_single_kink_on_unknot():
     # a one-crossing unknot: slots 0-1 and 2-3 joined
     ring = diagram_from_arcs(1, [((0, 0), (0, 1)), ((0, 2), (0, 3))])
@@ -309,7 +307,7 @@ def test_canonical_key_separates_links():
 
 def test_free_loops_enter_the_key():
     d = _build("2")
-    plus = LinkDiagram(d.mate, 1, d.tags)
+    plus = LinkDiagram(d.mate, 1)
     assert plus != d
 
 

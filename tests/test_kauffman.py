@@ -13,21 +13,25 @@ from twistlab.diagram import (
     build_standard,
     connected_sum,
     mirror,
+    parse_pd,
+    remove_curls,
     smooth,
     switch,
+    to_pd,
     unlink,
 )
 from twistlab.kauffman import (
     LaurentPoly2,
     TopDegreeMismatchError,
     delta_unlink,
+    lambda_code,
     lambda_poly,
     staggered,
     truncate,
 )
 from twistlab.notation import enumerate_standard, parse_conway
 
-from helpers import add_curl, random_diagrams
+from helpers import add_curl, random_diagrams, relabel, skein_calls
 
 
 def _build(text):
@@ -186,6 +190,48 @@ def test_switching_the_last_crossing_drops_degree():
         d = _build(text)
         q = lambda_poly(switch(d, d.crossings - 1), cache)
         assert q.max_z() <= d.crossings - 3
+
+
+def test_bigon_cancellation_keeps_lambda(monkeypatch):
+    # Lambda of a switched build, from the skein relation at the switched
+    # crossing, against Lambda of what remove_curls leaves of it; the
+    # build itself has only twist bigons, which are never cancelled
+    monkeypatch.setenv("TWISTLAB_CACHE", "off")
+    z = LaurentPoly2.monomial(1, 0, 1)
+    for c in range(3, 8):
+        for code in enumerate_standard(c):
+            d = build_standard(code)
+            for k in range(d.crossings):
+                want = z * (
+                    lambda_poly(smooth(d, k, ZERO)) + lambda_poly(smooth(d, k, INFINITY))
+                ) - lambda_code(code)
+                stripped, shift = remove_curls(switch(d, k))
+                assert lambda_poly(stripped).shift(a_exp=shift) == want, (code, k)
+
+
+def test_bigon_cancellation_bounds_the_skein_nodes(monkeypatch):
+    # without cancelling Reidemeister II bigons these take 5807, 9166 and
+    # 3793 nodes
+    monkeypatch.setenv("TWISTLAB_CACHE", "off")
+    d = _build("2 1 1 1 1 2")
+    assert skein_calls(monkeypatch, lambda: lambda_poly(d)) <= 100
+    assert skein_calls(monkeypatch, lambda: lambda_poly(mirror(d))) <= 100
+    summed = connected_sum(_build("2 1 2"), _build("3"))
+    assert skein_calls(monkeypatch, lambda: lambda_poly(summed)) <= 300
+
+
+def test_scrambled_and_mirrored_builds_match_the_transfer_walk():
+    rng = random.Random(29)
+    for c in range(2, 10):
+        for code in enumerate_standard(c):
+            d = build_standard(code)
+            perm = list(range(d.crossings))
+            rng.shuffle(perm)
+            rots = [rng.choice([0, 2]) for _ in perm]
+            scrambled = parse_pd(to_pd(relabel(d, perm, rots)))
+            p = lambda_code(code)
+            assert lambda_poly(scrambled) == p, code
+            assert lambda_poly(mirror(scrambled)) == p.mirror_a(), code
 
 
 def test_mirror_substitutes_a_inverse():
