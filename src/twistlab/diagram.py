@@ -200,8 +200,9 @@ def _traversal_entries(d: LinkDiagram) -> list[int]:
     One direction is walked per component: the one whose walk contains
     the smallest endpoint of the component, started at that endpoint.
     Components are emitted in order of their smallest endpoint.  The
-    order depends only on the matching, never on over and under data,
-    so it survives switching any set of crossings.
+    order depends only on the matching.  Switching a crossing renumbers
+    its endpoints, so the walk of a switched diagram can run in another
+    order.
     """
     orbits, _, rev = _walk_index(d)
     walks = []
@@ -234,49 +235,48 @@ def _check_crossing(d: LinkDiagram, crossing: int) -> None:
         raise UnknownCrossingError(f"no crossing {crossing!r} in {d!r}")
 
 
-def _excise(d: LinkDiagram, x: int, pairs) -> LinkDiagram:
-    """Remove crossing x, bridging its slots by the given slot pairing.
+def _excise(d: LinkDiagram, bridges) -> LinkDiagram:
+    """Remove a set of crossings in one pass, bridging the slots of each.
 
-    External arcs are rejoined by walking arc-bridge-arc chains through
-    the removed endpoints; any chain that closes up without reaching an
-    external endpoint becomes a free circle.
+    ``bridges`` maps each crossing to remove to the two slot pairs that
+    join its four slots.  Kept crossings keep their order.  Every arc
+    from a kept endpoint is rejoined by walking arc-bridge-arc chains
+    through removed endpoints until a kept endpoint is reached; a chain
+    that closes up among removed endpoints becomes a free circle.
     """
-    base = 4 * x
-    total = len(d.mate)
-    bridge = {}
-    for s1, s2 in pairs:
-        bridge[base + s1] = base + s2
-        bridge[base + s2] = base + s1
-
-    def renum(e: int) -> int:
-        return e - 4 if e >= base + 4 else e
-
-    new_mate = [-1] * (total - 4)
-    used = set()
-    for e in range(total):
-        if base <= e < base + 4 or new_mate[renum(e)] != -1:
+    mate = d.mate
+    where = [-1] * len(mate)  # new index of each kept endpoint
+    link = [-1] * len(mate)  # bridge partner of each removed endpoint
+    for x, pairs in bridges.items():
+        b = 4 * x
+        for s1, s2 in pairs:
+            link[b + s1], link[b + s2] = b + s2, b + s1
+    kept = 0
+    for c in range(d.crossings):
+        if c not in bridges:
+            where[4 * c:4 * c + 4] = range(kept, kept + 4)
+            kept += 4
+    new_mate = [-1] * kept
+    for e, i in enumerate(where):
+        if i < 0 or new_mate[i] >= 0:
             continue
-        p = d.mate[e]
-        while base <= p < base + 4:
-            used.add(p)
-            q = bridge[p]
-            used.add(q)
-            p = d.mate[q]
-        new_mate[renum(e)] = renum(p)
-        new_mate[renum(p)] = renum(e)
+        p = mate[e]
+        while where[p] < 0:
+            q = link[p]
+            link[p] = link[q] = -1
+            p = mate[q]
+        new_mate[i] = where[p]
+        new_mate[where[p]] = i
     loops = d.free_loops
-    for r in range(base, base + 4):
-        if r in used:
+    for r, q in enumerate(link):
+        if q < 0:
             continue
         loops += 1
         p = r
-        while True:
-            used.add(p)
-            q = bridge[p]
-            used.add(q)
-            p = d.mate[q]
-            if p == r:
-                break
+        while link[p] >= 0:
+            q = link[p]
+            link[p] = link[q] = -1
+            p = mate[q]
     return LinkDiagram(tuple(new_mate), loops)
 
 
@@ -285,7 +285,7 @@ def smooth(d: LinkDiagram, crossing: int, mode: str) -> LinkDiagram:
     _check_crossing(d, crossing)
     if mode not in _SMOOTH_PAIRS:
         raise DiagramError(f"unknown smoothing mode {mode!r}")
-    return _excise(d, crossing, _SMOOTH_PAIRS[mode])
+    return _excise(d, {crossing: _SMOOTH_PAIRS[mode]})
 
 
 def switch(d: LinkDiagram, crossing: int) -> LinkDiagram:
@@ -320,49 +320,41 @@ def _rotate_crossings(d: LinkDiagram, crossings) -> LinkDiagram:
 def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
     """Strip kinks and Reidemeister II bigons; return the result and the shift.
 
-    Each kink is removed by the reconnection that straightens the
-    strand: the infinity smoothing for a +1 kink, the zero smoothing
-    for a -1 kink.  A Reidemeister II bigon is a 2-gon face whose
-    strand on one side is over at both of its crossings; both are
-    removed and the strands pass straight through.  Those two crossings
-    have opposite writhe, so the shift is the writhe shed by kinks
-    alone.  A twist bigon, over at one crossing and under at the other,
-    stays.  Moves are found first crossing first, kinks before bigons;
-    each move preserves regular isotopy, so the scan order only fixes
-    which of several results with the same polynomial is produced.
+    Each pass collects, first crossing first, every kink and bigon that
+    shares no crossing with an earlier one, and removes them all with one
+    ``_excise``.  A kink goes by the smoothing that straightens the
+    strand, infinity for writhe +1 and zero for -1; the shift is the
+    writhe shed.  Arcs 4c+s -> 4x+t and 4x+t+1 -> 4c+s-1 bound a 2-gon
+    face under the turn rule of ``_face_count``; when s and t have equal
+    parity one strand is over at both ends, and both crossings go with
+    the strands passing straight through.  A twist bigon stays.  Every
+    move preserves regular isotopy, so the scan order only picks among
+    results with the same polynomial.
     """
     shift = 0
     while True:
-        move = _first_move(d)
-        if move is None:
+        mate = d.mate
+        bridges = {}
+        for c in range(d.crossings):
+            if c in bridges:
+                continue
+            b = 4 * c
+            for (s1, s2), sign in _CURL_SIGN.items():
+                if mate[b + s1] == b + s2:
+                    shift += sign
+                    bridges[c] = _SMOOTH_PAIRS[INFINITY if sign > 0 else ZERO]
+                    break
+            else:
+                for s in range(4):
+                    m = mate[b + s]
+                    x = m >> 2
+                    if (x != c and x not in bridges and not (m ^ s) & 1
+                            and mate[(m & ~3) | ((m + 1) & 3)] == b + ((s - 1) & 3)):
+                        bridges[c] = bridges[x] = _STRAIGHT
+                        break
+        if not bridges:
             return d, shift
-        c, sign, partner = move
-        if partner is None:
-            shift += sign
-            d = smooth(d, c, INFINITY if sign > 0 else ZERO)
-        else:
-            d = _excise(_excise(d, c, _STRAIGHT), partner - (partner > c), _STRAIGHT)
-
-
-def _first_move(d: LinkDiagram):
-    """First kink as (crossing, writhe, None), or bigon as (crossing, 0, partner).
-
-    Arcs 4c+s -> 4x+t and 4x+t+1 -> 4c+s-1 bound a 2-gon face under the
-    turn rule of ``_face_count``; with s and t of equal parity the strand
-    on the first arc is under at both ends or over at both.
-    """
-    mate = d.mate
-    for c in range(d.crossings):
-        b = 4 * c
-        for (s1, s2), sign in _CURL_SIGN.items():
-            if mate[b + s1] == b + s2:
-                return c, sign, None
-        for s in range(4):
-            m = mate[b + s]
-            x = m >> 2
-            if x != c and not (m ^ s) & 1 and mate[(m & ~3) | ((m + 1) & 3)] == b + ((s - 1) & 3):
-                return c, 0, x
-    return None
+        d = _excise(d, bridges)
 
 
 def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:

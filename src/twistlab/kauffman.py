@@ -14,17 +14,19 @@ picks one.
 The skein engine (``lambda_poly``) takes any diagram.  At every node it
 first simplifies: ``remove_curls`` strips kinks, shifting a by the
 writhe shed, and cancels Reidemeister II bigons, which leaves Lambda
-unchanged because Lambda is a regular-isotopy invariant.  It then walks
-the diagram in a fixed order and switches each crossing first met on
-its under strand, accumulating the skein relation; the fully switched
-diagram is descending, so it is a power of a times a power of the
-unlink value delta.  Switching one crossing of an alternating twist
-leaves a bigon, so most branches shrink by two crossings at once; the
-cost is still exponential in crossings on diagrams with few bigons to
-cancel.  Subdiagrams are memoized by canonical key.  The memo is a
-fresh private dict per call unless the caller passes one in;
-TWISTLAB_CACHE=off disables it entirely, passed dicts included, which
-must never change any value.
+unchanged because Lambda is a regular-isotopy invariant.  Each pass of
+``remove_curls`` removes, in one rewiring of the diagram, every kink
+and bigon it finds that shares no crossing with another.  The engine
+then walks the diagram in a fixed order and switches each crossing
+first met on its under strand, accumulating the skein relation; the
+fully switched diagram is descending, so it is a power of a times a
+power of the unlink value delta.  Switching one crossing of an
+alternating twist leaves a bigon, so most branches shrink by two
+crossings at once; the cost is still exponential in crossings on
+diagrams with few bigons to cancel.  Subdiagrams are memoized by
+canonical key.  The memo is a fresh private dict per call unless the
+caller passes one in; TWISTLAB_CACHE=off disables it entirely, passed
+dicts included, which must never change any value.
 
 The transfer-matrix engine (``lambda_code``) takes a Conway code and
 evaluates the standard build of ``diagram.build_standard`` with one
@@ -316,8 +318,9 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     strand blocks descent, so it gets switched; the skein relation
     turns the switch into the two smoothings of the current partially
     switched diagram, and the recursion continues along the walk.  The
-    walk order never changes, because switching rotates slot labels of
-    a crossing without touching the matching.  What remains after the
+    walk is computed once, on the unswitched diagram, and followed to
+    its end; it is not recomputed after a switch, which renumbers
+    endpoints and could reorder it.  What remains after the
     walk is descending: each component lies entirely over the later
     ones and descends along itself, so its value is a to the
     self-writhe times delta to the components minus one.

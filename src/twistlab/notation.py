@@ -110,6 +110,12 @@ def parse_conway(text: str) -> ConwayCode:
 def census(code: ConwayCode) -> TwistCensus:
     """Count sites by turning direction and measure distance from minimality.
 
+    Horizontal sites are counted as left-turning, and ``predicted_u``
+    puts them at a^2.  The paper's abstract names the other way round:
+    it pairs a^-2 z^(c-2) with left-turning and a^2 z^(c-2) with
+    right-turning sites.  Every check compares counts by axis, so only
+    the names differ.
+
     Minimal codes have two crossings at each end site and one at each
     interior site, except that a single site needs three crossings to
     close into something other than a clasp.  The two-crossing clasp
@@ -147,8 +153,10 @@ def predicted_u(tc: TwistCensus) -> tuple[int, int, int]:
     """Expected (u_minus, u_zero, u_plus) for a standard-format code.
 
     u_plus counts left-turning sites, u_minus right-turning sites and
-    u_zero all sites.  The clasp is the one exception: its polynomial
-    has no spread at all in the second-highest z row.
+    u_zero all sites, so the trefoil ``3`` gives (0, 1, 1).  That is the
+    opposite of the abstract's naming, which pairs left-turning sites
+    with a^-2; see ``census``.  The clasp is the one exception: its
+    polynomial has no spread at all in the second-highest z row.
     """
     if tc.sites == 1 and tc.crossings == 2:
         return (0, 1, 0)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .diagram import LinkDiagram, build_standard, connected_sum, mirror
 from .kauffman import (
     LaurentPoly2,
+    TopDegreeMismatchError,
     TruncatedLambda,
     lambda_code,
     lambda_code_smoothings,
@@ -46,6 +47,7 @@ class VerificationReport:
     predicted: tuple[int, int, int] | None = None
     checks: dict[str, bool] = field(default_factory=dict)
     polynomial: LaurentPoly2 | None = None  # the diagram's Lambda; not serialized
+    failure: str | None = None  # why a check failed; not serialized
 
     @property
     def overall(self) -> bool:
@@ -126,17 +128,21 @@ def check_diagram(
 
     No site-count prediction is applied; for a non-rational diagram
     there is nothing to predict, only coefficients to report and
-    optionally compare against the caller's expectation.
+    optionally compare against the caller's expectation.  When the two
+    top z rows do not have the alternating shape, top_pair fails, it is
+    the only check, and ``failure`` says why.
     """
     p = lambda_poly(d, cache)
-    t = truncate(p, d.crossings)
-    rep = VerificationReport(
-        input=name,
-        crossings=d.crossings,
-        computed_u=t.u,
-    )
+    rep = VerificationReport(input=name, crossings=d.crossings)
+    try:
+        t = truncate(p, d.crossings)
+    except TopDegreeMismatchError as exc:
+        rep.checks["top_pair"] = False
+        rep.failure = str(exc)
+        return rep
+    rep.computed_u = t.u
     rep.checks["degree_bounds"] = _degree_ok(p, d.crossings)
-    rep.checks["top_pair"] = True  # truncate raises otherwise
+    rep.checks["top_pair"] = True
     if expected is not None:
         rep.checks["expected_match"] = t.u == tuple(expected)
     return rep

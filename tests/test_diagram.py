@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from twistlab import diagram
 from twistlab.diagram import (
     INFINITY,
     ZERO,
@@ -36,7 +37,7 @@ from twistlab.diagram import (
 )
 from twistlab.notation import enumerate_standard, parse_conway, continued_fraction
 
-from helpers import DATA, add_curl, all_splices, pretzel, relabel
+from helpers import DATA, add_curl, all_splices, pretzel, random_diagrams, relabel
 
 
 def _build(text):
@@ -228,6 +229,59 @@ def test_remove_curls_on_clean_diagram():
 
 def test_switched_clasp_cancels_to_an_unlink():
     assert remove_curls(switch(_build("2"), 0)) == (unlink(2), 0)
+
+
+def test_remove_curls_excises_disjoint_kinks_in_one_pass(monkeypatch):
+    # kinks on distinct arcs of a curl-free build share no crossing, so
+    # the first pass removes them all and the second finds nothing
+    calls = []
+    real = diagram._excise
+
+    def counting(d, *args):
+        calls.append(args)
+        return real(d, *args)
+
+    monkeypatch.setattr(diagram, "_excise", counting)
+    rng = random.Random(23)
+    for text in ("3", "2 2", "2 1 2"):
+        d = _build(text)
+        arcs = sorted(e for e in range(len(d.mate)) if e < d.mate[e])
+        for k in (2, 3, 4):
+            kinked, total = d, 0
+            for e in rng.sample(arcs, k):
+                sign = rng.choice([1, -1])
+                total += sign
+                kinked = add_curl(kinked, e, sign)
+            calls.clear()
+            stripped, shift = remove_curls(kinked)
+            assert len(calls) == 1, (text, k)
+            assert sorted(calls[0][0]) == list(range(d.crossings, d.crossings + k))
+            assert (stripped, shift) == (d, total)
+
+
+def test_one_excision_counts_every_closed_chain():
+    # both crossings of a switched clasp: two circles, each chain running
+    # through both removed crossings
+    clasp = switch(_build("2"), 0)
+    assert diagram._excise(clasp, {0: diagram._STRAIGHT, 1: diagram._STRAIGHT}) == unlink(2)
+    # a 2-crossing unlink of two kinked circles, beside one free circle
+    arcs = [((c, s), (c, s + 1)) for c in (0, 1) for s in (0, 2)]
+    two = diagram_from_arcs(2, arcs, 1)
+    for mode, loops in ((INFINITY, 3), (ZERO, 5)):
+        pairs = diagram._SMOOTH_PAIRS[mode]
+        assert diagram._excise(two, {0: pairs, 1: pairs}) == unlink(loops)
+
+
+def test_one_excision_equals_successive_smoothings():
+    rng = random.Random(29)
+    for d in random_diagrams(40, seed=31):
+        chosen = rng.sample(range(d.crossings), rng.randrange(1, d.crossings + 1))
+        modes = {c: rng.choice([ZERO, INFINITY]) for c in chosen}
+        one = diagram._excise(d, {c: diagram._SMOOTH_PAIRS[m] for c, m in modes.items()})
+        step = d
+        for c in sorted(chosen, reverse=True):  # lower crossings keep their numbers
+            step = smooth(step, c, modes[c])
+        assert (one.mate, one.free_loops) == (step.mate, step.free_loops)
 
 
 def test_bigon_cancellation_ignores_crossing_labels():

@@ -331,7 +331,8 @@ def test_cache_off_leaves_a_passed_dict_empty(monkeypatch):
     assert memo == {}
 
 
-def test_shared_cache_gives_identical_values():
+def test_shared_cache_gives_identical_values(monkeypatch):
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
     cache = {}
     for text in ("3", "2 2", "3", "2 2"):
         assert lambda_poly(_build(text), cache) == lambda_poly(_build(text))

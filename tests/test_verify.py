@@ -8,7 +8,7 @@ import pytest
 
 from twistlab import kauffman, verify
 from twistlab.cli import main
-from twistlab.diagram import build_standard, connected_sum, mirror, parse_pd
+from twistlab.diagram import build_standard, connected_sum, mirror, parse_pd, switch
 from twistlab.kauffman import LaurentPoly2, lambda_poly, truncate
 from twistlab.notation import (
     ConwayCode,
@@ -162,6 +162,16 @@ def test_check_diagram_flags_mismatch():
     rep = check_diagram(_fixture("l6a5"), expected=(3, 4, 1), name="l6a5")
     assert not rep.overall
     assert rep.checks["expected_match"] is False
+
+
+def test_check_diagram_reports_a_failed_truncation():
+    # a switched trefoil is an unknot diagram: its top z rows are not an
+    # alternating diagram's, so top_pair fails and is the only check
+    rep = check_diagram(switch(_fixture("trefoil"), 0), expected=(0, 1, 1), name="sw")
+    assert rep.checks == {"top_pair": False} and not rep.overall
+    assert rep.computed_u is None
+    assert rep.failure == "z^2 row is {}, wanted exactly a + 1/a"
+    assert "failure" not in rep.as_dict()
 
 
 def test_verify_code_merges_applicable_checks():
