@@ -143,6 +143,8 @@ def cmd_pd(args):
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise DiagramError(f"cannot read {args.file}: {exc}") from None
+    if not lines:
+        raise DiagramError(f"no pd records in {args.file}")
     memo: dict = {}
     reports = []
     for ln in lines:

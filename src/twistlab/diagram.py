@@ -66,7 +66,16 @@ class NonPlanarError(DiagramError):
 
 
 class LinkDiagram:
-    """Immutable diagram: endpoint matching and free circles."""
+    """Immutable diagram: endpoint matching and free circles.
+
+    Public construction validates: ``LinkDiagram(mate, free_loops)``
+    rejects a matching that is not a fixed-point-free involution on a
+    multiple of four endpoints, or a negative loop count.  The skein
+    engine builds many diagrams from matchings that are valid by
+    construction (smoothings, switches, simplifications); those go
+    through ``_trusted``, which skips the checks and is for results
+    built inside the package only.
+    """
 
     __slots__ = ("mate", "free_loops", "_canon")
 
@@ -84,6 +93,15 @@ class LinkDiagram:
         self.mate = mate
         self.free_loops = free_loops
         self._canon = None
+
+    @classmethod
+    def _trusted(cls, mate: tuple, free_loops: int) -> LinkDiagram:
+        """Diagram from a matching built inside the package, not checked."""
+        d = object.__new__(cls)
+        d.mate = mate
+        d.free_loops = free_loops
+        d._canon = None
+        return d
 
     @property
     def crossings(self) -> int:
@@ -239,23 +257,27 @@ def _excise(d: LinkDiagram, bridges) -> LinkDiagram:
     """Remove a set of crossings in one pass, bridging the slots of each.
 
     ``bridges`` maps each crossing to remove to the two slot pairs that
-    join its four slots.  Kept crossings keep their order.  Every arc
+    join its four slots, so an endpoint is kept exactly when it has no
+    bridge partner.  Kept crossings keep their order.  Every arc
     from a kept endpoint is rejoined by walking arc-bridge-arc chains
     through removed endpoints until a kept endpoint is reached; a chain
-    that closes up among removed endpoints becomes a free circle.
+    that closes up among removed endpoints becomes a free circle.  The
+    result is a valid matching by construction and is not checked again.
     """
     mate = d.mate
-    where = [-1] * len(mate)  # new index of each kept endpoint
     link = [-1] * len(mate)  # bridge partner of each removed endpoint
     for x, pairs in bridges.items():
         b = 4 * x
         for s1, s2 in pairs:
             link[b + s1], link[b + s2] = b + s2, b + s1
+    where = []  # new index of each kept endpoint, -1 for a removed one
     kept = 0
-    for c in range(d.crossings):
-        if c not in bridges:
-            where[4 * c:4 * c + 4] = range(kept, kept + 4)
-            kept += 4
+    for q in link:
+        if q < 0:
+            where.append(kept)
+            kept += 1
+        else:
+            where.append(-1)
     new_mate = [-1] * kept
     for e, i in enumerate(where):
         if i < 0 or new_mate[i] >= 0:
@@ -268,16 +290,17 @@ def _excise(d: LinkDiagram, bridges) -> LinkDiagram:
         new_mate[i] = where[p]
         new_mate[where[p]] = i
     loops = d.free_loops
-    for r, q in enumerate(link):
-        if q < 0:
-            continue
-        loops += 1
-        p = r
-        while link[p] >= 0:
-            q = link[p]
-            link[p] = link[q] = -1
-            p = mate[q]
-    return LinkDiagram(tuple(new_mate), loops)
+    for x in bridges:
+        for r in range(4 * x, 4 * x + 4):
+            if link[r] < 0:
+                continue
+            loops += 1
+            p = r
+            while link[p] >= 0:
+                q = link[p]
+                link[p] = link[q] = -1
+                p = mate[q]
+    return LinkDiagram._trusted(tuple(new_mate), loops)
 
 
 def smooth(d: LinkDiagram, crossing: int, mode: str) -> LinkDiagram:
@@ -314,7 +337,7 @@ def _rotate_crossings(d: LinkDiagram, crossings) -> LinkDiagram:
     new_mate = [0] * len(d.mate)
     for e, m in enumerate(d.mate):
         new_mate[remap[e]] = remap[m]
-    return LinkDiagram(tuple(new_mate), d.free_loops)
+    return LinkDiagram._trusted(tuple(new_mate), d.free_loops)
 
 
 def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
@@ -437,80 +460,104 @@ def build_standard(code) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def canonical_key(d: LinkDiagram) -> bytes:
+def canonical_key(d: LinkDiagram) -> tuple:
     """Label-independent fingerprint of the diagram.
 
     Two diagrams get the same key exactly when one can be turned into
     the other by renumbering crossings and giving some crossings a
-    half-turn slot relabel.
+    half-turn slot relabel.  The key is the tuple ``(crossings,
+    free_loops, component_keys)``: the smallest ``_bfs_serial`` of each
+    crossing component over every start crossing and start rotation,
+    sorted.  It is computed once per diagram and kept.
     """
     if d._canon is None:
         d._canon = _compute_key(d)
     return d._canon
 
 
-def _crossing_groups(d: LinkDiagram) -> list[list[int]]:
-    """Crossings of each connected component of the crossing graph."""
-    n = d.crossings
-    parent = list(range(n))
+def _crossing_groups(mate) -> list[list[int]]:
+    """Crossings of each connected component of the crossing graph.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    Each component is found by a breadth-first search from its lowest
+    crossing and listed in increasing order.
+    """
+    n = len(mate) >> 2
+    group = [-1] * n
+    groups = []
+    for c0 in range(n):
+        if group[c0] >= 0:
+            continue
+        g = group[c0] = len(groups)
+        comp = [c0]
+        for c in comp:  # the list grows while it is walked
+            for m in mate[4 * c:4 * c + 4]:
+                x = m >> 2
+                if group[x] < 0:
+                    group[x] = g
+                    comp.append(x)
+        comp.sort()
+        groups.append(comp)
+    return groups
 
-    for e, m in enumerate(d.mate):
-        ra, rb = find(e // 4), find(m // 4)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for c in range(n):
-        groups.setdefault(find(c), []).append(c)
-    return list(groups.values())
 
-
-def _compute_key(d: LinkDiagram) -> bytes:
-    n = d.crossings
+def _compute_key(d: LinkDiagram) -> tuple:
+    mate = d.mate
     comp_keys = []
-    for comp in _crossing_groups(d):
+    for comp in _crossing_groups(mate):
         best = None
         for start in comp:
             for rot0 in (0, 2):
-                cand = _bfs_serial(d, start, rot0)
-                if best is None or cand < best:
+                cand = _bfs_serial(mate, start, rot0, best)
+                if cand is not None:
                     best = cand
         comp_keys.append(best)
     comp_keys.sort()
-    return repr((n, d.free_loops, comp_keys)).encode("ascii")
+    return (d.crossings, d.free_loops, tuple(comp_keys))
 
 
-def _bfs_serial(d: LinkDiagram, start: int, rot0: int) -> tuple:
+def _bfs_serial(mate, start: int, rot0: int, best) -> tuple | None:
     """Serialize one crossing component from a chosen start and rotation.
 
     Crossings are renumbered in discovery order.  Each newly discovered
     crossing is given the half-turn rotation that brings its discovery
     slot into {0, 1}, so the serialization cannot depend on the input
-    rotation state.
+    rotation state.  The edge at each slot is the int ``4 * index +
+    slot``, which orders as the pair ``(index, slot)`` does.
+
+    ``best`` is the smallest serialization of the component found so
+    far, or None.  The result is returned only when it is smaller;
+    otherwise the walk returns None, early at the first edge that
+    exceeds the edge of ``best`` at the same position while every
+    earlier edge tied.
     """
-    index = {start: 0}
-    rot = {start: rot0}
+    n = len(mate) >> 2
+    index = [-1] * n
+    rot = [0] * n
+    index[start] = 0
+    rot[start] = rot0
     order = [start]
     edges = []
-    i = 0
-    while i < len(order):
-        c = order[i]
+    tied = best is not None
+    for c in order:  # the list grows while it is walked
+        b = 4 * c
         rc = rot[c]
-        for s_new in range(4):
-            t = d.mate[4 * c + (s_new ^ rc)]
-            tc, ts = divmod(t, 4)
-            if tc not in index:
-                index[tc] = len(order)
-                rot[tc] = 0 if ts < 2 else 2
-                order.append(tc)
-            edges.append((index[tc], ts ^ rot[tc]))
-        i += 1
-    return tuple(edges)
+        for s in range(4):
+            t = mate[b + (s ^ rc)]
+            x = t >> 2
+            i = index[x]
+            if i < 0:
+                i = index[x] = len(order)
+                rot[x] = t & 2
+                order.append(x)
+            v = 4 * i + ((t ^ rot[x]) & 3)
+            if tied:
+                w = best[len(edges)]
+                if v > w:
+                    return None
+                if v < w:
+                    tied = False
+            edges.append(v)
+    return None if tied else tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +616,7 @@ def parse_pd(pd) -> LinkDiagram:
         e1, e2 = eps
         mate[e1], mate[e2] = e2, e1
     d = LinkDiagram(tuple(mate))
-    if _face_count(d) != d.crossings + 2 * len(_crossing_groups(d)):
+    if _face_count(d) != d.crossings + 2 * len(_crossing_groups(d.mate)):
         raise NonPlanarError("the pd code has no plane embedding (Euler count fails)")
     return d
 

@@ -119,3 +119,46 @@ def random_diagrams(count: int, seed: int = 20217, max_crossings: int = 6):
         if d.crossings:
             out.append(d)
     return out
+
+
+def reference_key(d: LinkDiagram) -> tuple:
+    """Canonical key without pruning: every start serialized in full.
+
+    Crossing components come from a union-find over the arcs.  Each is
+    serialized from every start crossing and both start rotations as
+    ``(index, slot)`` pairs, and the smallest serialization is kept.
+    """
+    n = d.crossings
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e, m in enumerate(d.mate):
+        ra, rb = find(e // 4), find(m // 4)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[int, list[int]] = {}
+    for c in range(n):
+        groups.setdefault(find(c), []).append(c)
+
+    def serial(start: int, rot0: int) -> tuple:
+        index, rot, order, edges = {start: 0}, {start: rot0}, [start], []
+        for c in order:
+            for s in range(4):
+                tc, ts = divmod(d.mate[4 * c + (s ^ rot[c])], 4)
+                if tc not in index:
+                    index[tc] = len(order)
+                    rot[tc] = 0 if ts < 2 else 2
+                    order.append(tc)
+                edges.append((index[tc], ts ^ rot[tc]))
+        return tuple(edges)
+
+    comp_keys = sorted(
+        min(serial(start, rot0) for start in comp for rot0 in (0, 2))
+        for comp in groups.values()
+    )
+    return (n, d.free_loops, tuple(comp_keys))

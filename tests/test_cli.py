@@ -134,6 +134,17 @@ def test_bad_pd_record_exits_two(tmp_path, capsys, pd):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n"])
+def test_pd_file_without_records_exits_two(tmp_path, capsys, text):
+    # a check that ran nothing must not report PASS
+    target = tmp_path / "empty.jsonl"
+    target.write_text(text, encoding="utf-8")
+    assert main(["pd", "--file", str(target), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no pd records in {target}\n"
+
+
 @pytest.mark.parametrize("n", ["-3", "1"])
 def test_enumerate_needs_two_crossings(capsys, n):
     assert main(["verify", "--enumerate", "--max-crossings", n]) == 2

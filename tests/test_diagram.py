@@ -37,7 +37,15 @@ from twistlab.diagram import (
 )
 from twistlab.notation import enumerate_standard, parse_conway, continued_fraction
 
-from helpers import DATA, add_curl, all_splices, pretzel, random_diagrams, relabel
+from helpers import (
+    DATA,
+    add_curl,
+    all_splices,
+    pretzel,
+    random_diagrams,
+    reference_key,
+    relabel,
+)
 
 
 def _build(text):
@@ -284,6 +292,22 @@ def test_one_excision_equals_successive_smoothings():
         assert (one.mate, one.free_loops) == (step.mate, step.free_loops)
 
 
+def test_internal_diagrams_are_valid_matchings():
+    # the engine's builders skip validation, so the public constructor
+    # must accept everything they make
+    rng = random.Random(37)
+    modes = (diagram._SMOOTH_PAIRS[ZERO], diagram._SMOOTH_PAIRS[INFINITY], diagram._STRAIGHT)
+    for d in random_diagrams(60, seed=41):
+        made = [mirror(d), remove_curls(d)[0]]
+        for c in range(d.crossings):
+            made += [smooth(d, c, ZERO), smooth(d, c, INFINITY), switch(d, c)]
+        chosen = rng.sample(range(d.crossings), rng.randrange(1, d.crossings + 1))
+        made.append(diagram._excise(d, {c: rng.choice(modes) for c in chosen}))
+        made.append(remove_curls(diagram._rotate_crossings(d, chosen))[0])
+        for r in made:
+            LinkDiagram(r.mate, r.free_loops)
+
+
 def test_bigon_cancellation_ignores_crossing_labels():
     rng = random.Random(17)
     for c in range(3, 8):
@@ -357,6 +381,36 @@ def test_canonical_key_separates_links():
         )
     }
     assert len(keys) == 5
+
+
+def _split_pds():
+    hopf = to_pd(_build("2"))
+    trefoil, mirrored = (
+        [[x + 10 for x in row] for row in to_pd(t)] for t in (_build("3"), mirror(_build("3")))
+    )
+    return hopf + trefoil, trefoil + hopf, hopf + mirrored
+
+
+def test_split_diagram_keys_ignore_component_order():
+    a, b, c = (canonical_key(parse_pd(pd)) for pd in _split_pds())
+    assert a == b
+    assert a != c
+
+
+def test_canonical_key_agrees_with_the_unpruned_reference():
+    # the early exit must keep the smallest serialization: two diagrams
+    # get equal keys exactly when their reference keys are equal
+    rng = random.Random(43)
+    base = random_diagrams(80, seed=47) + [parse_pd(pd) for pd in _split_pds()]
+    pool = []
+    for d in base:
+        perm = list(range(d.crossings))
+        rng.shuffle(perm)
+        rots = [rng.choice([0, 2]) for _ in perm]
+        pool += [d, relabel(d, perm, rots)]
+    keys = [canonical_key(d) for d in pool]
+    refs = [reference_key(d) for d in pool]
+    assert len(set(keys)) == len(set(refs)) == len(set(zip(keys, refs))) < len(pool)
 
 
 def test_free_loops_enter_the_key():

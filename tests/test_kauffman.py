@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from twistlab import kauffman
 from twistlab.diagram import (
     INFINITY,
     ZERO,
@@ -218,6 +219,29 @@ def test_bigon_cancellation_bounds_the_skein_nodes(monkeypatch):
     assert skein_calls(monkeypatch, lambda: lambda_poly(mirror(d))) <= 100
     summed = connected_sum(_build("2 1 2"), _build("3"))
     assert skein_calls(monkeypatch, lambda: lambda_poly(summed)) <= 300
+
+
+def test_engine_work_on_scrambled_builds_is_fixed(monkeypatch):
+    # nodes, memo lookups and misses over every 8-crossing build and its
+    # mirror, scrambled: a cheaper node must not change how many there are
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    calls = dict.fromkeys(("remove_curls", "canonical_key", "_traversal_entries"), 0)
+    for name in calls:
+        real = getattr(kauffman, name)
+
+        def counting(d, name=name, real=real):
+            calls[name] += 1
+            return real(d)
+
+        monkeypatch.setattr(kauffman, name, counting)
+    rng = random.Random(83)
+    for code in enumerate_standard(8):
+        for d in (build_standard(code), mirror(build_standard(code))):
+            perm = list(range(d.crossings))
+            rng.shuffle(perm)
+            lambda_poly(relabel(d, perm, [rng.choice([0, 2]) for _ in perm]))
+    # totals read before the early-exit key and unchecked internal diagrams
+    assert calls == {"remove_curls": 4278, "canonical_key": 1920, "_traversal_entries": 791}
 
 
 def test_scrambled_and_mirrored_builds_match_the_transfer_walk():
