@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .diagram import DiagramError, build_standard, components, parse_pd
+from .diagram import DiagramError, parse_pd
 from .kauffman import TopDegreeMismatchError, lambda_code, staggered, truncate
 from .notation import NotationError, census, continued_fraction, parse_conway
 from .verify import (
@@ -42,7 +42,8 @@ def cmd_compute(args):
         "code": str(code),
         "crossings": tc.crossings,
         "sites": tc.sites,
-        "components": components(build_standard(code)),
+        # a two-bridge link p/q has two components exactly when p is even
+        "components": 2 if frac.numerator % 2 == 0 else 1,
         "fraction": [frac.numerator, frac.denominator],
         "lambda": [list(term) for term in p.terms()],
         "u": list(t.u),

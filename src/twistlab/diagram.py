@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import json
 
+from .notation import crossing_axes
+
 ZERO = "zero"
 INFINITY = "infinity"
 
@@ -70,11 +72,11 @@ class LinkDiagram:
 
     Public construction validates: ``LinkDiagram(mate, free_loops)``
     rejects a matching that is not a fixed-point-free involution on a
-    multiple of four endpoints, or a negative loop count.  The skein
-    engine builds many diagrams from matchings that are valid by
-    construction (smoothings, switches, simplifications); those go
-    through ``_trusted``, which skips the checks and is for results
-    built inside the package only.
+    multiple of four endpoints, or a loop count that is not a
+    nonnegative int.  The skein engine builds many diagrams from
+    matchings that are valid by construction (smoothings, switches,
+    simplifications); those go through ``_trusted``, which skips the
+    checks and is for results built inside the package only.
     """
 
     __slots__ = ("mate", "free_loops", "_canon")
@@ -88,6 +90,8 @@ class LinkDiagram:
                 raise DiagramError(f"endpoint {e} matched out of range: {m!r}")
             if m == e or mate[m] != e:
                 raise DiagramError(f"matching is not a fixed-point-free involution at {e}")
+        if not isinstance(free_loops, int) or isinstance(free_loops, bool):
+            raise DiagramError(f"free loop count must be an int, got {free_loops!r}")
         if free_loops < 0:
             raise DiagramError("free loop count cannot be negative")
         self.mate = mate
@@ -136,75 +140,65 @@ def diagram_from_arcs(crossing_count, arcs, free_loops=0) -> LinkDiagram:
 
 def unlink(components: int) -> LinkDiagram:
     """Crossingless diagram of the given number of circles."""
-    if components < 0:
-        raise DiagramError("component count cannot be negative")
     return LinkDiagram((), components)
 
 
 # ---------------------------------------------------------------------------
 # strand walks
 
-def _orbits(d: LinkDiagram) -> list[list[int]]:
-    """Directed strand walks, one list of entry endpoints per direction."""
+def _walks(d: LinkDiagram) -> tuple[list[list[int]], list[int], bytearray]:
+    """Every component walked once, and the walk and direction of every endpoint.
+
+    A component is walked from its smallest endpoint, entering the
+    crossing there, and the walks are listed in order of their smallest
+    endpoint.  Each walk is its list of entry endpoints.  ``walk[e]`` is
+    the index of the walk through endpoint e, and ``entered[e]`` is 1
+    when that walk enters its crossing at e and 0 when it leaves there.
+    """
     mate = d.mate
-    seen = bytearray(len(mate))
-    orbits = []
+    walk = [-1] * len(mate)
+    entered = bytearray(len(mate))
+    walks = []
     for e0 in range(len(mate)):
-        if seen[e0]:
+        if walk[e0] >= 0:
             continue
-        orb = []
-        e = e0
-        while not seen[e]:
-            seen[e] = 1
-            orb.append(e)
+        w, entries, e = len(walks), [], e0
+        while walk[e] < 0:
+            walk[e] = walk[e ^ 2] = w
+            entered[e] = 1
+            entries.append(e)
             e = mate[e ^ 2]
-        orbits.append(orb)
-    return orbits
-
-
-def _walk_index(d: LinkDiagram) -> tuple[list[list[int]], list[int], list[int]]:
-    """Directed walks, the walk of every endpoint, and every walk's reverse."""
-    orbits = _orbits(d)
-    oid = [0] * len(d.mate)
-    for i, orb in enumerate(orbits):
-        for e in orb:
-            oid[e] = i
-    return orbits, oid, [oid[orb[0] ^ 2] for orb in orbits]
+        walks.append(entries)
+    return walks, walk, entered
 
 
 def components(d: LinkDiagram) -> int:
     """Number of link components, free circles included."""
-    return len(_orbits(d)) // 2 + d.free_loops
+    return len(_walks(d)[0]) + d.free_loops
 
 
 def is_alternating(d: LinkDiagram) -> bool:
-    """True when every strand walk alternates under and over passages."""
-    for orb in _orbits(d):
-        if len(orb) % 2:
-            return False
-        for e, f in zip(orb, orb[1:] + orb[:1]):
-            if (e & 1) == (f & 1):
-                return False
-    return True
+    """True when every strand walk alternates under and over passages.
+
+    A strand leaves through the slot opposite the one it entered, which
+    has the same parity, so it alternates exactly when every arc joins
+    an under slot (even) to an over slot (odd).
+    """
+    return all((e ^ m) & 1 for e, m in enumerate(d.mate))
 
 
 def _self_crossing_signs(d: LinkDiagram) -> dict[int, int]:
     """Sign of every crossing both of whose strands are the same component.
 
-    The under entry at slot 0 belongs to one directed walk; the over
-    entry of that same walk sits at slot 3 for a positive crossing and
-    slot 1 for a negative one.  Crossings between distinct components
-    are omitted, since their sign depends on a choice of orientation.
+    The under strand enters at slot 0 on one direction of its
+    component; the over strand enters at slot 3 on that same direction
+    for a positive crossing and at slot 1 for a negative one.  Crossings
+    between distinct components are omitted, since their sign depends on
+    a choice of orientation.
     """
-    _, oid, rev = _walk_index(d)
-    signs = {}
-    for c in range(d.crossings):
-        b = 4 * c
-        i, j = oid[b], oid[b + 1]
-        if i != j and i != rev[j]:
-            continue
-        signs[c] = 1 if oid[b + 3] == i else -1
-    return signs
+    _, walk, entered = _walks(d)
+    return {b >> 2: 1 if entered[b] == entered[b + 3] else -1
+            for b in range(0, len(d.mate), 4) if walk[b] == walk[b + 1]}
 
 
 def self_writhe(d: LinkDiagram) -> int:
@@ -213,27 +207,13 @@ def self_writhe(d: LinkDiagram) -> int:
 
 
 def _traversal_entries(d: LinkDiagram) -> list[int]:
-    """Entry endpoints in a fixed walk order over the whole diagram.
+    """Entry endpoints of every component's walk, the walks in ``_walks`` order.
 
-    One direction is walked per component: the one whose walk contains
-    the smallest endpoint of the component, started at that endpoint.
-    Components are emitted in order of their smallest endpoint.  The
-    order depends only on the matching.  Switching a crossing renumbers
-    its endpoints, so the walk of a switched diagram can run in another
-    order.
+    The order depends only on the matching.  Switching a crossing
+    renumbers its endpoints, so the walk of a switched diagram can run
+    in another order.
     """
-    orbits, _, rev = _walk_index(d)
-    walks = []
-    for i, orb in enumerate(orbits):
-        j = rev[i]
-        if j < i:
-            continue
-        lo_i, lo_j = min(orb), min(orbits[j])
-        src = orb if lo_i < lo_j else orbits[j]
-        k = src.index(min(lo_i, lo_j))
-        walks.append(src[k:] + src[:k])
-    walks.sort(key=lambda w: w[0])
-    return [e for w in walks for e in w]
+    return [e for entries in _walks(d)[0] for e in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -409,52 +389,31 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
 def build_standard(code) -> LinkDiagram:
     """Standard alternating diagram of the rational link with this code.
 
-    Twist sites are laid out first to last, alternating horizontal rows
-    and vertical columns with the last site horizontal.  A horizontal
-    row hangs off the east side of the tangle built so far, a vertical
-    column off the south side, and the final tangle is closed top to
-    top and bottom to bottom.  Every crossing uses the same slot
-    picture, which is what makes the result alternating.
+    A four-ended tangle grows one crossing at a time, on the axes of
+    ``notation.crossing_axes`` that ``kauffman._open_state`` also walks:
+    a horizontal crossing joins the tangle's NE and SE ends to its own
+    NW and SW slots, a vertical one joins SW and SE to NW and NE.  The
+    tangle is closed NW to NE and SW to SE.  Every crossing has slots
+    2, 1, 3, 0 at NW, NE, SW, SE, which makes the result alternating.
 
     Crossing ids run in build order, so the last crossing of the last
     site always has id crossings-1.
     """
-    entries = code.entries
-    n_sites = len(entries)
+    axes = crossing_axes(code)
     arcs = []
-    cr = 0
-    ends = None  # corner -> (crossing, slot), corners NW NE SW SE
-    for i, m in enumerate(entries):
-        horizontal = (n_sites - 1 - i) % 2 == 0
-        ids = list(range(cr, cr + m))
-        cr += m
-        for a, b in zip(ids, ids[1:]):
-            if horizontal:
-                arcs.append(((a, 1), (b, 2)))
-                arcs.append(((a, 0), (b, 3)))
-            else:
-                arcs.append(((a, 3), (b, 2)))
-                arcs.append(((a, 0), (b, 1)))
-        first, last = ids[0], ids[-1]
-        if horizontal:
-            new = {"NW": (first, 2), "SW": (first, 3), "NE": (last, 1), "SE": (last, 0)}
-            if ends is None:
-                ends = new
-            else:
-                arcs.append((ends["NE"], new["NW"]))
-                arcs.append((ends["SE"], new["SW"]))
-                ends = {"NW": ends["NW"], "SW": ends["SW"], "NE": new["NE"], "SE": new["SE"]}
+    nw, ne, sw, se = 2, 1, 3, 0  # the ends of the first crossing
+    for b in range(4, 4 * len(axes), 4):
+        if axes[b >> 2]:
+            arcs += [(ne, b + 2), (se, b + 3)]
+            ne, se = b + 1, b
         else:
-            new = {"NW": (first, 2), "NE": (first, 1), "SW": (last, 3), "SE": (last, 0)}
-            if ends is None:
-                ends = new
-            else:
-                arcs.append((ends["SW"], new["NW"]))
-                arcs.append((ends["SE"], new["NE"]))
-                ends = {"NW": ends["NW"], "NE": ends["NE"], "SW": new["SW"], "SE": new["SE"]}
-    arcs.append((ends["NW"], ends["NE"]))
-    arcs.append((ends["SW"], ends["SE"]))
-    return diagram_from_arcs(cr, arcs)
+            arcs += [(sw, b + 2), (se, b + 1)]
+            sw, se = b + 3, b
+    arcs += [(nw, ne), (sw, se)]
+    mate = [0] * (4 * len(axes))
+    for e, f in arcs:
+        mate[e], mate[f] = f, e
+    return LinkDiagram._trusted(tuple(mate), 0)
 
 
 # ---------------------------------------------------------------------------

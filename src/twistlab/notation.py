@@ -6,7 +6,9 @@ crossings each (a single-site code is its own end twice, so it also
 needs at least two), interior sites need at least one.  Site axes are
 forced: sites alternate between horizontal and vertical and the last
 site is always horizontal, so the axis of every site is fixed by its
-distance from the end of the code.
+distance from the end of the code.  ``crossing_axes`` is the one place
+that rule is written; the diagram build and the transfer walk both
+follow it crossing by crossing.
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ class TwistCensus:
     crossings: int
     extra: int
     is_minimal: bool
+
+
+def crossing_axes(code: ConwayCode) -> list[bool]:
+    """Axis of every crossing in build order, True for horizontal.
+
+    Crossings are listed site by site from the first site to the last,
+    so the last crossing is always horizontal.
+    """
+    n = code.sites
+    return [(n - 1 - i) % 2 == 0 for i, m in enumerate(code.entries) for _ in range(m)]
 
 
 def parse_conway(text: str) -> ConwayCode:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -85,6 +86,47 @@ def test_component_count_follows_fraction_parity():
             assert components(build_standard(code)) == want
 
 
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def _build_mates() -> list:
+    """The matching of every standard build of 2 to 12 crossings."""
+    return [build_standard(code).mate for c in range(2, 13) for code in enumerate_standard(c)]
+
+
+def _walk_outputs() -> list:
+    """Walk-helper outputs on seeded diagrams, each switch and smoothing too."""
+    out = []
+    for d in random_diagrams(150, seed=4099, max_crossings=7):
+        cases = [d]
+        for x in range(d.crossings):
+            cases += [switch(d, x), smooth(d, x, ZERO), smooth(d, x, INFINITY)]
+        for e in cases:
+            signs = sorted(diagram._self_crossing_signs(e).items())
+            out.append((components(e), is_alternating(e), signs, diagram._traversal_entries(e)))
+    return out
+
+
+# Both digests were read in a checkout of commit 7e4fd4f with this file
+# copied into its tests/:  PYTHONPATH=src:tests python -c "import
+# test_diagram as t; print(t._digest(t._build_mates()),
+# t._digest(t._walk_outputs()))"
+
+def test_standard_build_matchings_are_pinned():
+    assert _digest(_build_mates()) == (
+        "a5c51a06aa56a4fd9babca062a5cb085b75d29d54fb5456e50a2e37f5767a468"
+    )
+
+
+def test_walk_helper_outputs_are_pinned():
+    outputs = _walk_outputs()
+    assert len(outputs) == 2745
+    assert _digest(outputs) == (
+        "bdbca162d1185d7c735e181ea2e97988e6980ca7659826760dfc0be708ee9d47"
+    )
+
+
 def test_unlink_and_validation():
     assert components(unlink(3)) == 3
     assert unlink(0).crossings == 0
@@ -94,6 +136,14 @@ def test_unlink_and_validation():
         LinkDiagram((0, 1, 3, 2), 0)  # fixed point
     with pytest.raises(DiagramError):
         diagram_from_arcs(1, [((0, 0), (0, 1)), ((0, 1), (0, 2))])
+
+
+def test_loop_counts_must_be_nonnegative_ints():
+    for bad in (1.5, "x", True, -1):
+        with pytest.raises(DiagramError):
+            LinkDiagram((), bad)
+        with pytest.raises(DiagramError):
+            unlink(bad)
 
 
 # ---------------------------------------------------------------------------

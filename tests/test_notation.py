@@ -15,6 +15,7 @@ from twistlab.notation import (
     NonPositiveEntryError,
     census,
     continued_fraction,
+    crossing_axes,
     enumerate_standard,
     minimal_code,
     parse_conway,
@@ -76,6 +77,17 @@ def test_census_counts():
 
     tc = census(parse_conway("5"))
     assert (tc.crossings, tc.extra) == (5, 2)
+
+
+def test_crossing_axes_alternate_by_site_and_end_horizontal():
+    assert crossing_axes(parse_conway("3")) == [True] * 3
+    assert crossing_axes(parse_conway("2 1 3")) == [True, True, False, True, True, True]
+    assert crossing_axes(parse_conway("2 2")) == [False, False, True, True]
+    for c in range(2, 9):
+        for code in enumerate_standard(c):
+            axes = crossing_axes(code)
+            assert len(axes) == c and axes[-1]
+            assert sum(axes) == sum(code.entries[-1::-2])
 
 
 def test_census_hopf_is_its_own_minimum():
