@@ -15,7 +15,7 @@ import sys
 
 from .diagram import DiagramError, parse_pd
 from .kauffman import TopDegreeMismatchError, lambda_code, staggered, truncate
-from .notation import NotationError, census, continued_fraction, parse_conway
+from .notation import NotationError, census, continued_fraction, parse_conway, parse_int
 from .verify import (
     amphicheiral_obstruction,
     chirality_class,
@@ -69,7 +69,7 @@ def cmd_verify(args):
             raise NotationError("--enumerate needs --max-crossings")
         if args.code:
             raise NotationError("give a code or use --enumerate, not both")
-        reports = sweep(args.max_crossings)
+        reports = sweep(parse_int(args.max_crossings, "--max-crossings value"))
         passed = sum(1 for r in reports if r.overall)
         payload = {
             "reports": [r.as_dict() for r in reports],
@@ -132,12 +132,11 @@ def cmd_sum(args):
 def cmd_pd(args):
     expected = None
     if args.expect:
-        try:
-            parts = [int(x) for x in args.expect.replace(",", " ").split()]
-        except ValueError:
-            raise DiagramError(f"bad --expect value {args.expect!r}") from None
-        if len(parts) != 3:
-            raise DiagramError("--expect wants three integers: u_minus,u_zero,u_plus")
+        parts = [parse_int(x, "--expect value") for x in args.expect.replace(",", " ").split()]
+        if len(parts) != 3 or min(parts) < 0:
+            raise DiagramError(
+                "--expect wants three nonnegative integers: u_minus,u_zero,u_plus"
+            )
         expected = tuple(parts)
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -154,6 +153,8 @@ def cmd_pd(args):
             name, pd = rec["name"], rec["pd"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DiagramError(f"bad pd record {ln[:40]!r}: {exc}") from None
+        if not isinstance(name, str):
+            raise DiagramError(f"bad pd record {ln[:40]!r}: name must be a string")
         rep = check_diagram(parse_pd(pd), expected=expected, name=name, cache=memo)
         if rep.failure:
             print(f"{name}: {rep.failure}", file=sys.stderr)
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
     p = command("verify", cmd_verify, "run the checks for one code or a sweep")
     p.add_argument("code", nargs="*")
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--max-crossings", type=int, default=None)
+    p.add_argument("--max-crossings", default=None)
 
     p = command("mirror", cmd_mirror, "polynomial of the mirrored build")
     p.add_argument("code", nargs="+")

@@ -146,18 +146,19 @@ def unlink(components: int) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 # strand walks
 
-def _walks(d: LinkDiagram) -> tuple[list[list[int]], list[int], bytearray]:
-    """Every component walked once, and the walk and direction of every endpoint.
+def _walks(d: LinkDiagram) -> tuple[list[list[int]], list[int], list[int]]:
+    """Every component walked once, and the walk and position of every endpoint.
 
     A component is walked from its smallest endpoint, entering the
     crossing there, and the walks are listed in order of their smallest
     endpoint.  Each walk is its list of entry endpoints.  ``walk[e]`` is
-    the index of the walk through endpoint e, and ``entered[e]`` is 1
-    when that walk enters its crossing at e and 0 when it leaves there.
+    the index of the walk through endpoint e, and ``at[e]`` the position
+    in that walk of the passage through e, whether it enters or leaves
+    there.
     """
     mate = d.mate
     walk = [-1] * len(mate)
-    entered = bytearray(len(mate))
+    at = [0] * len(mate)
     walks = []
     for e0 in range(len(mate)):
         if walk[e0] >= 0:
@@ -165,11 +166,11 @@ def _walks(d: LinkDiagram) -> tuple[list[list[int]], list[int], bytearray]:
         w, entries, e = len(walks), [], e0
         while walk[e] < 0:
             walk[e] = walk[e ^ 2] = w
-            entered[e] = 1
+            at[e] = at[e ^ 2] = len(entries)
             entries.append(e)
             e = mate[e ^ 2]
         walks.append(entries)
-    return walks, walk, entered
+    return walks, walk, at
 
 
 def components(d: LinkDiagram) -> int:
@@ -190,15 +191,20 @@ def is_alternating(d: LinkDiagram) -> bool:
 def _self_crossing_signs(d: LinkDiagram) -> dict[int, int]:
     """Sign of every crossing both of whose strands are the same component.
 
-    The under strand enters at slot 0 on one direction of its
-    component; the over strand enters at slot 3 on that same direction
-    for a positive crossing and at slot 1 for a negative one.  Crossings
-    between distinct components are omitted, since their sign depends on
-    a choice of orientation.
+    Along one direction of the component the under strand enters at
+    slot j, and the crossing is positive exactly when the over strand
+    enters at slot j+3 (mod 4), that is when the two entry slots differ
+    in bit 1.  Crossings between distinct components are omitted, since
+    their sign depends on a choice of orientation.
     """
-    _, walk, entered = _walks(d)
-    return {b >> 2: 1 if entered[b] == entered[b + 3] else -1
-            for b in range(0, len(d.mate), 4) if walk[b] == walk[b + 1]}
+    walks, walk, at = _walks(d)
+    signs = {}
+    for b in range(0, len(d.mate), 4):
+        w = walk[b]
+        if w == walk[b + 1]:
+            entries = walks[w]
+            signs[b >> 2] = 1 if (entries[at[b]] ^ entries[at[b + 1]]) & 2 else -1
+    return signs
 
 
 def self_writhe(d: LinkDiagram) -> int:
@@ -206,14 +212,64 @@ def self_writhe(d: LinkDiagram) -> int:
     return sum(_self_crossing_signs(d).values())
 
 
-def _traversal_entries(d: LinkDiagram) -> list[int]:
-    """Entry endpoints of every component's walk, the walks in ``_walks`` order.
+def _traversal_entries(d: LinkDiagram) -> list[list[int]]:
+    """Entry endpoints of every component's walk, from base points that switch least.
 
-    The order depends only on the matching.  Switching a crossing
-    renumbers its endpoints, so the walk of a switched diagram can run
-    in another order.
+    The skein engine switches each crossing that these walks, taken in
+    order, first meet on the under strand.  Each component is walked
+    from the start and direction, among the 2L of a walk of L passages,
+    that meet the fewest of its self-crossings under-first (Shimizu's
+    warping degree).  Walked forward from position s, a self-crossing
+    with its under passage at p and its over passage at q is met
+    under-first when s lies in the cyclic interval (q, p]; walked in
+    reverse from s, when s lies in [p, q).  One difference array per
+    direction counts every start at once.  The components are then
+    taken greedily, each next the one that passes under the fewest
+    crossings with the components still to come.  Ties keep the order
+    of ``_walks``: forward before reverse, the earlier start, the
+    lower walk.  A reversed walk enters where the forward one leaves,
+    at the opposite slot of the same parity.
+
+    Switching a crossing renumbers its endpoints, so the walks of a
+    switched diagram can differ.
     """
-    return [e for entries in _walks(d)[0] for e in entries]
+    walks, walk, at = _walks(d)
+    fwd = [[0] * (len(w) + 1) for w in walks]
+    rev = [[0] * (len(w) + 1) for w in walks]
+    under = [[0] * len(walks) for _ in walks]  # under[i][j]: i passes under j
+    for b in range(0, len(walk), 4):
+        w = walk[b]
+        if w != walk[b + 1]:
+            under[w][walk[b + 1]] += 1
+            continue
+        p, q = at[b], at[b + 1]
+        f, r = fwd[w], rev[w]
+        f[q + 1] += 1
+        f[p + 1] -= 1
+        r[p] += 1
+        r[q] -= 1
+        (f if p < q else r)[0] += 1  # the interval wraps past the end
+    based = []
+    for w, entries in enumerate(walks):
+        best, pick = len(entries), (False, 0)
+        for back, diff in ((False, fwd[w]), (True, rev[w])):
+            run = 0
+            for s in range(len(entries)):
+                run += diff[s]
+                if run < best:
+                    best, pick = run, (back, s)
+        back, s = pick
+        if back:
+            based.append([e ^ 2 for e in entries[s::-1] + entries[:s:-1]])
+        else:
+            based.append(entries[s:] + entries[:s] if s else entries)
+    left = list(range(len(walks)))
+    out = []
+    while left:
+        i = min(left, key=lambda i: sum(under[i][j] for j in left))
+        left.remove(i)
+        out.append(based[i])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,22 @@ writhe shed, and cancels Reidemeister II bigons, which leaves Lambda
 unchanged because Lambda is a regular-isotopy invariant.  Each pass of
 ``remove_curls`` removes, in one rewiring of the diagram, every kink
 and bigon it finds that shares no crossing with another.  The engine
-then walks the diagram in a fixed order and switches each crossing
-first met on its under strand, accumulating the skein relation; the
-fully switched diagram is descending, so it is a power of a times a
-power of the unlink value delta.  Switching one crossing of an
-alternating twist leaves a bigon, so most branches shrink by two
-crossings at once; the cost is still exponential in crossings on
-diagrams with few bigons to cancel.  Subdiagrams are memoized by
-canonical key.  The memo is a fresh private dict per call unless the
-caller passes one in; TWISTLAB_CACHE=off disables it entirely, passed
-dicts included, which must never change any value.
+then walks the diagram and switches each crossing first met on its
+under strand, accumulating the skein relation; the fully switched
+diagram is descending, so it is a power of a times a power of the
+unlink value delta.  Every switch branches the recursion, and any
+base points and component order leave a descending diagram, so the
+walk is chosen to switch few crossings: each component starts at the
+base point and direction that meet the fewest of its self-crossings
+under-first (Shimizu, "The warping degree of a knot diagram", J. Knot
+Theory Ramifications 19, 2010), and the components go in a greedy
+order, each passing under as few later ones as it can.  Switching one
+crossing of an alternating twist leaves a bigon, so most branches
+shrink by two crossings at once; the cost is still exponential in
+crossings on diagrams with few bigons to cancel.  Subdiagrams are
+memoized by canonical key.  The memo is a fresh private dict per call
+unless the caller passes one in; TWISTLAB_CACHE=off disables it
+entirely, passed dicts included, which must never change any value.
 
 The transfer-matrix engine (``lambda_code``) takes a Conway code and
 evaluates the standard build of ``diagram.build_standard`` with one
@@ -52,10 +58,10 @@ polynomials.
 Work that could not finish is refused up front.  The skein engine
 takes at most MAX_SKEIN_CROSSINGS = 14 crossings.  On 2 vCPUs with
 Python 3.11, standard builds of 2 1...1 2 and their mirrors take under
-0.05 s at 12 to 14 crossings, but connected sums of two such builds,
-where fewer bigons appear, took 0.29 s at 13 crossings, 0.56 s at 14,
-1.0 s at 15 and 1.5 s at 16, still growing about x1.5 to x2 per
-crossing.  Larger diagrams raise SkeinBudgetError.  The
+0.05 s at 12 to 14 crossings.  Connected sums of two such builds,
+where fewer bigons appear, take 0.023 s at 13 crossings and 0.034 s at
+14, and, with the budget lifted, 0.19 s at 15 and 0.25 s at 16
+(medians of five calls).  Larger diagrams raise SkeinBudgetError.  The
 transfer walk takes at most MAX_CODE_CROSSINGS = 200 crossings: the
 polynomials grow with the code, so verify_code takes 0.43 s on 2 1x96 2
 (100 crossings) and 3.1 s on 2 1x196 2 (200), medians of five calls on
@@ -75,10 +81,8 @@ from .diagram import (
     EmptyDiagramError,
     LinkDiagram,
     _rotate_crossings,
-    _self_crossing_signs,
     _traversal_entries,
     canonical_key,
-    components,
     remove_curls,
     smooth,
 )
@@ -315,39 +319,48 @@ def _lambda(d: LinkDiagram, cache) -> LaurentPoly2:
 def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     """Skein recursion for a simplified diagram with at least one crossing.
 
-    Walking the fixed traversal, a crossing first met on its under
-    strand blocks descent, so it gets switched; the skein relation
-    turns the switch into the two smoothings of the current partially
-    switched diagram, and the recursion continues along the walk.  The
-    walk is computed once, on the unswitched diagram, and followed to
-    its end; it is not recomputed after a switch, which renumbers
-    endpoints and could reorder it.  What remains after the
+    ``_traversal_entries`` gives the one walk of the diagram: each
+    component from the base point and direction that meet the fewest
+    of its self-crossings under-first, the components in a greedy order
+    that passes under few later ones.  Following it, a crossing first met on
+    its under strand blocks descent, so it gets switched; the skein
+    relation turns the switch into the two smoothings of the current
+    partially switched diagram, and the recursion continues along the
+    walk.  The walk is computed once, on the unswitched diagram, and
+    followed to its end; it is not recomputed after a switch, which
+    renumbers endpoints and could reorder it.  What remains after the
     walk is descending: each component lies entirely over the later
     ones and descends along itself, so its value is a to the
-    self-writhe times delta to the components minus one.
+    self-writhe times delta to the components minus one.  The component
+    count and the sign of each self-crossing, met twice by one walk,
+    are read off the same walk.
     """
-    self_signs = _self_crossing_signs(d)
-    n_comp = components(d)
+    walks = _traversal_entries(d)
     acc = _ZERO
     sign = 1
-    switched: set[int] = set()
-    seen: set[int] = set()
-    for e in _traversal_entries(d):
-        c = e >> 2
-        if c in seen:
-            continue
-        seen.add(c)
-        if (e & 1) == 0:  # first met going under
-            base = _rotate_crossings(d, switched) if switched else d
-            branch = _lambda(smooth(base, c, ZERO), cache) + _lambda(
-                smooth(base, c, INFINITY), cache
-            )
-            branch = branch * _Z
-            acc = acc + branch if sign > 0 else acc - branch
-            switched.add(c)
-            sign = -sign
-    sw = sum(-s if c in switched else s for c, s in self_signs.items())
-    tail = _delta_power(n_comp - 1).shift(a_exp=sw)
+    switched: list[int] = []
+    first: dict[int, tuple[int, int]] = {}  # crossing -> (walk, entry) first met
+    writhe = 0  # self-writhe of the fully switched diagram
+    for w, entries in enumerate(walks):
+        for e in entries:
+            c = e >> 2
+            met = first.get(c)
+            if met is not None:
+                if met[0] == w:  # a self-crossing; see diagram._self_crossing_signs
+                    s = 1 if (e ^ met[1]) & 2 else -1
+                    writhe += s if met[1] & 1 else -s  # first met under: switched
+                continue
+            first[c] = (w, e)
+            if (e & 1) == 0:  # first met going under
+                base = _rotate_crossings(d, switched) if switched else d
+                branch = _lambda(smooth(base, c, ZERO), cache) + _lambda(
+                    smooth(base, c, INFINITY), cache
+                )
+                branch = branch * _Z
+                acc = acc + branch if sign > 0 else acc - branch
+                switched.append(c)
+                sign = -sign
+    tail = _delta_power(len(walks) + d.free_loops - 1).shift(a_exp=writhe)
     return acc + tail if sign > 0 else acc - tail
 
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-_TWIST_COUNT = re.compile(r"[+-]?[0-9]+")
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
 
 
 class NotationError(ValueError):
@@ -107,16 +107,23 @@ def crossing_axes(code: ConwayCode) -> list[bool]:
 def parse_conway(text: str) -> ConwayCode:
     """Parse whitespace-separated twist counts into a ConwayCode.
 
-    A count is ASCII digits with an optional sign; underscores and
-    non-ASCII digits, which ``int`` would accept, are refused.
+    Each count is read by ``parse_int``.
     """
     tokens = text.split()
     if not tokens:
         raise EmptyInputError("no twist counts given")
-    for tok in tokens:
-        if not _TWIST_COUNT.fullmatch(tok):
-            raise NonNumericTokenError(f"bad twist count {tok!r}")
-    return ConwayCode(tuple(int(tok) for tok in tokens))
+    return ConwayCode(tuple(parse_int(tok) for tok in tokens))
+
+
+def parse_int(text: str, what: str = "twist count") -> int:
+    """An int written as ASCII digits with an optional sign.
+
+    Underscores, blanks and non-ASCII digits, which ``int`` would
+    accept, are refused; ``what`` names the value in the error.
+    """
+    if not _ASCII_INT.fullmatch(text):
+        raise NonNumericTokenError(f"bad {what} {text!r}")
+    return int(text)
 
 
 def census(code: ConwayCode) -> TwistCensus:

@@ -134,6 +134,35 @@ def test_bad_pd_record_exits_two(tmp_path, capsys, pd):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", [[1, 2], 7, None])
+def test_pd_record_name_must_be_a_string(tmp_path, capsys, name):
+    target = tmp_path / "named.jsonl"
+    pd = [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]]
+    target.write_text(json.dumps({"name": name, "pd": pd}) + "\n", encoding="utf-8")
+    assert main(["pd", "--file", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pd", "--file", FIXTURES, "--expect", "1_0,1,1"],
+        ["pd", "--file", FIXTURES, "--expect", "\u0661,2,1"],
+        ["pd", "--file", FIXTURES, "--expect", "1, 4,-3"],
+        ["verify", "--enumerate", "--max-crossings", "1_0"],
+        ["verify", "--enumerate", "--max-crossings", "\u0666"],
+    ],
+)
+def test_integer_flags_take_ascii_digits(capsys, argv):
+    # int() would read 1_0 as 10 and arabic-indic digits as their values
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n\n"])
 def test_pd_file_without_records_exits_two(tmp_path, capsys, text):
     # a check that ran nothing must not report PASS

@@ -95,23 +95,30 @@ def _build_mates() -> list:
     return [build_standard(code).mate for c in range(2, 13) for code in enumerate_standard(c)]
 
 
-def _walk_outputs() -> list:
-    """Walk-helper outputs on seeded diagrams, each switch and smoothing too."""
+def _walk_cases(count=150, seed=4099, max_crossings=7) -> list:
+    """Seeded diagrams, each with every switch and smoothing."""
     out = []
-    for d in random_diagrams(150, seed=4099, max_crossings=7):
-        cases = [d]
+    for d in random_diagrams(count, seed=seed, max_crossings=max_crossings):
+        out.append(d)
         for x in range(d.crossings):
-            cases += [switch(d, x), smooth(d, x, ZERO), smooth(d, x, INFINITY)]
-        for e in cases:
-            signs = sorted(diagram._self_crossing_signs(e).items())
-            out.append((components(e), is_alternating(e), signs, diagram._traversal_entries(e)))
+            out += [switch(d, x), smooth(d, x, ZERO), smooth(d, x, INFINITY)]
     return out
 
 
-# Both digests were read in a checkout of commit 7e4fd4f with this file
-# copied into its tests/:  PYTHONPATH=src:tests python -c "import
-# test_diagram as t; print(t._digest(t._build_mates()),
-# t._digest(t._walk_outputs()))"
+def _walk_outputs(cases) -> list:
+    """Component count, alternation and self-crossing signs of each case."""
+    return [
+        (components(e), is_alternating(e), sorted(diagram._self_crossing_signs(e).items()))
+        for e in cases
+    ]
+
+
+# The first two digests were read in a checkout of commit 5b0960d with
+# this file copied into its tests/:  PYTHONPATH=src:tests python -c
+# "import test_diagram as t; print(t._digest(t._build_mates()),
+# t._digest(t._walk_outputs(t._walk_cases())))".  The traversal digest
+# was read when walks began to start at the base point that switches
+# the fewest crossings.
 
 def test_standard_build_matchings_are_pinned():
     assert _digest(_build_mates()) == (
@@ -120,11 +127,45 @@ def test_standard_build_matchings_are_pinned():
 
 
 def test_walk_helper_outputs_are_pinned():
-    outputs = _walk_outputs()
-    assert len(outputs) == 2745
-    assert _digest(outputs) == (
-        "bdbca162d1185d7c735e181ea2e97988e6980ca7659826760dfc0be708ee9d47"
+    cases = _walk_cases()
+    assert len(cases) == 2745
+    assert _digest(_walk_outputs(cases)) == (
+        "9311323685cf56108f8ec0022dcd9aad67ba0173bf3860b44691a0da169b8c0d"
     )
+    assert _digest([diagram._traversal_entries(e) for e in cases]) == (
+        "021e49d87441b2409f3d796a1dd656d397e901d346f68492cdde715b6a267d68"
+    )
+
+
+def _under_first(walks) -> int:
+    """Crossings that walks, taken in order, first meet on the under strand."""
+    seen, count = set(), 0
+    for w in walks:
+        for e in w:
+            if e >> 2 not in seen:
+                seen.add(e >> 2)
+                count += not e & 1
+    return count
+
+
+def test_traversal_is_a_closed_walk_that_switches_fewest():
+    for e in _walk_cases(120, seed=61, max_crossings=9):
+        walks = diagram._traversal_entries(e)
+        # each crossing's under and over passage, once
+        passages = sorted(f & ~2 for w in walks for f in w)
+        assert passages == [b + k for b in range(0, len(e.mate), 4) for k in (0, 1)]
+        for w in walks:
+            assert all(e.mate[f ^ 2] == w[(i + 1) % len(w)] for i, f in enumerate(w))
+        if len(walks) == 1:
+            # every endpoint starts one walk in one direction
+            every = []
+            for f0 in range(len(e.mate)):
+                w, f = [f0], e.mate[f0 ^ 2]
+                while f != f0:
+                    w.append(f)
+                    f = e.mate[f ^ 2]
+                every.append(_under_first([w]))
+            assert _under_first(walks) == min(every)
 
 
 def test_unlink_and_validation():

@@ -221,6 +221,14 @@ def test_bigon_cancellation_bounds_the_skein_nodes(monkeypatch):
     assert skein_calls(monkeypatch, lambda: lambda_poly(summed)) <= 300
 
 
+def test_walk_start_bounds_the_work_on_a_connected_sum(monkeypatch):
+    # walks started where the crossing labels put them took 601 nodes
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    d = connected_sum(_build("2 1 1 1 2"), _build("2 1 1 1 2"))
+    assert d.crossings == 14
+    assert skein_calls(monkeypatch, lambda: lambda_poly(d)) <= 100
+
+
 def test_engine_work_on_scrambled_builds_is_fixed(monkeypatch):
     # nodes, memo lookups and misses over every 8-crossing build and its
     # mirror, scrambled: a cheaper node must not change how many there are
@@ -240,8 +248,9 @@ def test_engine_work_on_scrambled_builds_is_fixed(monkeypatch):
             perm = list(range(d.crossings))
             rng.shuffle(perm)
             lambda_poly(relabel(d, perm, [rng.choice([0, 2]) for _ in perm]))
-    # totals read before the early-exit key and unchecked internal diagrams
-    assert calls == {"remove_curls": 4278, "canonical_key": 1920, "_traversal_entries": 791}
+    # walks started where the crossing labels put them took 4278, 1920
+    # and 791; starting each where it switches fewest crossings cuts them
+    assert calls == {"remove_curls": 2584, "canonical_key": 1484, "_traversal_entries": 682}
 
 
 def test_scrambled_and_mirrored_builds_match_the_transfer_walk():
