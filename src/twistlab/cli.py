@@ -141,7 +141,7 @@ def cmd_pd(args):
     try:
         with open(args.file, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DiagramError(f"cannot read {args.file}: {exc}") from None
     if not lines:
         raise DiagramError(f"no pd records in {args.file}")

@@ -376,6 +376,40 @@ def _rotate_crossings(d: LinkDiagram, crossings) -> LinkDiagram:
     return LinkDiagram._trusted(tuple(new_mate), d.free_loops)
 
 
+def _bigon_partner(mate, c: int, twist: bool, skip=()) -> int:
+    """The crossing that bounds a 2-gon face with crossing c, or -1.
+
+    Arcs 4c+s -> 4x+t and 4x+t+1 -> 4c+s-1 bound a 2-gon face under the
+    turn rule of ``_face_count``.  When s and t have equal parity one
+    strand is over at both ends, a Reidemeister II bigon; when they
+    differ the strands alternate, a twist bigon.  ``twist`` picks which
+    kind is looked for.  Slots are tried in order, and crossings in
+    ``skip`` are passed over.
+    """
+    b = 4 * c
+    for s in range(4):
+        m = mate[b + s]
+        x = m >> 2
+        if (x != c and (m ^ s) & 1 == twist and x not in skip
+                and mate[(m & ~3) | ((m + 1) & 3)] == b + ((s - 1) & 3)):
+            return x
+    return -1
+
+
+def _twist_crossing(d: LinkDiagram) -> int:
+    """Bigon partner of the lowest crossing in a twist bigon, or -1.
+
+    Excision keeps the order of the crossings that survive it, so the
+    diagrams left by resolving this crossing go on along the same twist.
+    """
+    mate = d.mate
+    for c in range(d.crossings):
+        x = _bigon_partner(mate, c, True)
+        if x >= 0:
+            return x
+    return -1
+
+
 def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
     """Strip kinks and Reidemeister II bigons; return the result and the shift.
 
@@ -383,12 +417,10 @@ def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
     shares no crossing with an earlier one, and removes them all with one
     ``_excise``.  A kink goes by the smoothing that straightens the
     strand, infinity for writhe +1 and zero for -1; the shift is the
-    writhe shed.  Arcs 4c+s -> 4x+t and 4x+t+1 -> 4c+s-1 bound a 2-gon
-    face under the turn rule of ``_face_count``; when s and t have equal
-    parity one strand is over at both ends, and both crossings go with
-    the strands passing straight through.  A twist bigon stays.  Every
-    move preserves regular isotopy, so the scan order only picks among
-    results with the same polynomial.
+    writhe shed.  The two crossings of a Reidemeister II bigon, found by
+    ``_bigon_partner``, go with the strands passing straight through.  A
+    twist bigon stays.  Every move preserves regular isotopy, so the
+    scan order only picks among results with the same polynomial.
     """
     shift = 0
     while True:
@@ -404,13 +436,9 @@ def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
                     bridges[c] = _SMOOTH_PAIRS[INFINITY if sign > 0 else ZERO]
                     break
             else:
-                for s in range(4):
-                    m = mate[b + s]
-                    x = m >> 2
-                    if (x != c and x not in bridges and not (m ^ s) & 1
-                            and mate[(m & ~3) | ((m + 1) & 3)] == b + ((s - 1) & 3)):
-                        bridges[c] = bridges[x] = _STRAIGHT
-                        break
+                x = _bigon_partner(mate, c, False, bridges)
+                if x >= 0:
+                    bridges[c] = bridges[x] = _STRAIGHT
         if not bridges:
             return d, shift
         d = _excise(d, bridges)

@@ -16,20 +16,36 @@ first simplifies: ``remove_curls`` strips kinks, shifting a by the
 writhe shed, and cancels Reidemeister II bigons, which leaves Lambda
 unchanged because Lambda is a regular-isotopy invariant.  Each pass of
 ``remove_curls`` removes, in one rewiring of the diagram, every kink
-and bigon it finds that shares no crossing with another.  The engine
-then walks the diagram and switches each crossing first met on its
-under strand, accumulating the skein relation; the fully switched
-diagram is descending, so it is a power of a times a power of the
-unlink value delta.  Every switch branches the recursion, and any
-base points and component order leave a descending diagram, so the
-walk is chosen to switch few crossings: each component starts at the
-base point and direction that meet the fewest of its self-crossings
-under-first (Shimizu, "The warping degree of a knot diagram", J. Knot
-Theory Ramifications 19, 2010), and the components go in a greedy
-order, each passing under as few later ones as it can.  Switching one
-crossing of an alternating twist leaves a bigon, so most branches
-shrink by two crossings at once; the cost is still exponential in
-crossings on diagrams with few bigons to cancel.  Subdiagrams are
+and bigon it finds that shares no crossing with another.
+
+A diagram that still has a twist bigon, a 2-gon face whose strands
+alternate, takes one twist step at a crossing x of that bigon:
+
+    Lambda(D) = z (Lambda(D0) + Lambda(Dinf)) - Lambda(switch_x D).
+
+This is the skein relation at x, so it holds whichever x is taken; on
+a horizontal twist it is the tangle relation X X = -H + z X + z a V
+that ``lambda_code`` below applies once per crossing.  All three
+children shrink once simplified: the switch turns the twist bigon into
+a Reidemeister II bigon, which cancels two crossings; one smoothing
+leaves a kink at the bigon partner, again two fewer; the other
+shortens the twist by one.  x is the partner of the lowest crossing
+that has a twist bigon, and excision keeps the order of the crossings
+that survive, so the children go on along the same twist and share
+memo entries.
+
+A diagram with no twist bigon is walked instead: the engine switches
+each crossing first met on its under strand, accumulating the skein
+relation; the fully switched diagram is descending, so it is a power
+of a times a power of the unlink value delta.  Every switch branches
+the recursion, and any base points and component order leave a
+descending diagram, so the walk is chosen to switch few crossings:
+each component starts at the base point and direction that meet the
+fewest of its self-crossings under-first (Shimizu, "The warping degree
+of a knot diagram", J. Knot Theory Ramifications 19, 2010), and the
+components go in a greedy order, each passing under as few later ones
+as it can.  The cost is still exponential in crossings on diagrams
+with few bigons, such as the Borromean rings.  Subdiagrams are
 memoized by canonical key.  The memo is a fresh private dict per call
 unless the caller passes one in; TWISTLAB_CACHE=off disables it
 entirely, passed dicts included, which must never change any value.
@@ -57,16 +73,16 @@ polynomials.
 
 Work that could not finish is refused up front.  The skein engine
 takes at most MAX_SKEIN_CROSSINGS = 14 crossings.  On 2 vCPUs with
-Python 3.11, standard builds of 2 1...1 2 and their mirrors take under
-0.05 s at 12 to 14 crossings.  Connected sums of two such builds,
-where fewer bigons appear, take 0.023 s at 13 crossings and 0.034 s at
-14, and, with the budget lifted, 0.19 s at 15 and 0.25 s at 16
-(medians of five calls).  Larger diagrams raise SkeinBudgetError.  The
-transfer walk takes at most MAX_CODE_CROSSINGS = 200 crossings: the
-polynomials grow with the code, so verify_code takes 0.43 s on 2 1x96 2
-(100 crossings) and 3.1 s on 2 1x196 2 (200), medians of five calls on
-2 vCPUs with Python 3.11, about x7 for twice the crossings.  Larger
-codes raise CodeBudgetError.
+Python 3.11, standard builds of 2 1...1 2, their mirrors and connected
+sums of two such builds each take 3 to 5 ms at 12 to 14 crossings,
+and, with the budget lifted, at most 6.4 ms at 15 and 16 (medians of
+five calls).  Diagrams with few twist bigons still cost time
+exponential in crossings, so the budget stays.  Larger diagrams raise
+SkeinBudgetError.  The transfer walk takes at most MAX_CODE_CROSSINGS =
+200 crossings: the polynomials grow with the code, so verify_code
+takes 0.43 s on 2 1x96 2 (100 crossings) and 3.1 s on 2 1x196 2 (200),
+medians of five calls on 2 vCPUs with Python 3.11, about x7 for twice
+the crossings.  Larger codes raise CodeBudgetError.
 """
 
 from __future__ import annotations
@@ -82,6 +98,7 @@ from .diagram import (
     LinkDiagram,
     _rotate_crossings,
     _traversal_entries,
+    _twist_crossing,
     canonical_key,
     remove_curls,
     smooth,
@@ -319,6 +336,12 @@ def _lambda(d: LinkDiagram, cache) -> LaurentPoly2:
 def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     """Skein recursion for a simplified diagram with at least one crossing.
 
+    A diagram with a twist bigon takes the twist step of the module
+    docstring at ``diagram._twist_crossing`` and nothing else.  Its walk
+    is computed all the same and left unused: one ``_traversal_entries``
+    call per miss is how perfbench's tracer counts memo misses, so it
+    stays until the engine counts its own.
+
     ``_traversal_entries`` gives the one walk of the diagram: each
     component from the base point and direction that meet the fewest
     of its self-crossings under-first, the components in a greedy order
@@ -336,6 +359,10 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     are read off the same walk.
     """
     walks = _traversal_entries(d)
+    x = _twist_crossing(d)
+    if x >= 0:
+        branch = _lambda(smooth(d, x, ZERO), cache) + _lambda(smooth(d, x, INFINITY), cache)
+        return branch * _Z - _lambda(_rotate_crossings(d, (x,)), cache)
     acc = _ZERO
     sign = 1
     switched: list[int] = []

@@ -174,6 +174,16 @@ def test_pd_file_without_records_exits_two(tmp_path, capsys, text):
     assert captured.err == f"error: no pd records in {target}\n"
 
 
+def test_pd_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    target = tmp_path / "bom16.jsonl"
+    target.write_bytes(b"\xff\xfe")
+    assert main(["pd", "--file", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", ["-3", "1"])
 def test_enumerate_needs_two_crossings(capsys, n):
     assert main(["verify", "--enumerate", "--max-crossings", n]) == 2

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from twistlab import kauffman
+from twistlab import diagram, kauffman
 from twistlab.diagram import (
     INFINITY,
     ZERO,
@@ -32,7 +34,10 @@ from twistlab.kauffman import (
 )
 from twistlab.notation import enumerate_standard, parse_conway
 
-from helpers import add_curl, random_diagrams, relabel, skein_calls
+from helpers import add_curl, pretzel, random_diagrams, relabel, skein_calls
+
+# no 2-gon face, so no twist bigon: the skein engine takes the walk
+BORROMEAN = [[1, 2, 3, 4], [5, 6, 2, 7], [6, 8, 9, 3], [10, 11, 8, 5], [11, 12, 4, 9], [7, 1, 12, 10]]
 
 
 def _build(text):
@@ -41,6 +46,40 @@ def _build(text):
 
 def _poly(pairs):
     return LaurentPoly2(pairs)
+
+
+def _scramble(d, rng):
+    perm = list(range(d.crossings))
+    rng.shuffle(perm)
+    return relabel(d, perm, [rng.choice([0, 2]) for _ in perm])
+
+
+def lambda_digest() -> str:
+    """sha256 of Lambda over a fixed set of diagrams the transfer walk cannot check.
+
+    Seeded random diagrams (switches, smoothings, kinks; up to 9
+    crossings) and their mirrors, pretzels, scrambled connected sums of
+    standard builds up to 14 crossings (half of them mirrored) and the
+    Borromean rings, each polynomial hashed as the JSON of its terms.
+    """
+    rng = random.Random(61)
+    out = random_diagrams(200, seed=59, max_crossings=9)
+    out += [mirror(d) for d in out]
+    for twists in ((1, 1, 1), (2, 2, 2), (3, 3, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2), (3, 1, 3, 1), (4, 4, 3)):
+        out.append(pretzel(*twists))
+    pool = [code for c in range(2, 10) for code in enumerate_standard(c)]
+    sums = 0
+    while sums < 24:
+        c1, c2 = rng.choice(pool), rng.choice(pool)
+        if c1.crossings + c2.crossings <= 14:
+            d = connected_sum(_scramble(build_standard(c1), rng), _scramble(build_standard(c2), rng))
+            out.append(_scramble(mirror(d) if rng.random() < 0.5 else d, rng))
+            sums += 1
+    out.append(parse_pd(BORROMEAN))
+    h = hashlib.sha256()
+    for d in out:
+        h.update(json.dumps(lambda_poly(d).terms()).encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +284,75 @@ def test_engine_work_on_scrambled_builds_is_fixed(monkeypatch):
     rng = random.Random(83)
     for code in enumerate_standard(8):
         for d in (build_standard(code), mirror(build_standard(code))):
-            perm = list(range(d.crossings))
-            rng.shuffle(perm)
-            lambda_poly(relabel(d, perm, [rng.choice([0, 2]) for _ in perm]))
+            lambda_poly(_scramble(d, rng))
     # walks started where the crossing labels put them took 4278, 1920
-    # and 791; starting each where it switches fewest crossings cuts them
-    assert calls == {"remove_curls": 2584, "canonical_key": 1484, "_traversal_entries": 682}
+    # and 791, and walks started where they switch fewest crossings took
+    # 2584, 1484 and 682; a twist step at each miss cuts them
+    assert calls == {"remove_curls": 1642, "canonical_key": 1134, "_traversal_entries": 526}
+
+
+def _twist_chain(c):
+    return _build(" ".join(["2"] + ["1"] * (c - 4) + ["2"]))
+
+
+def test_twist_steps_bound_the_work_on_mirrors_and_sums(monkeypatch):
+    # with only the walk, the mirror at 14 crossings took 113 nodes and
+    # the sums up to 151
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    for c in range(10, 15):
+        diagrams = [_twist_chain(c), mirror(_twist_chain(c))]
+        diagrams += [connected_sum(_twist_chain(k), _twist_chain(c - k)) for k in range(4, c - 3)]
+        for d in diagrams:
+            assert d.crossings == c
+            assert skein_calls(monkeypatch, lambda: lambda_poly(d)) <= 2 * c
+
+
+def test_twist_free_borromean_rings_take_the_walk(monkeypatch):
+    # the root node smooths, in order, every crossing its walk first
+    # meets going under; a twist step would smooth one crossing
+    d = parse_pd(BORROMEAN)
+    assert remove_curls(d) == (d, 0)
+    assert diagram._twist_crossing(d) == -1
+    met, under_first = set(), []
+    for e in (e for walk in diagram._traversal_entries(d) for e in walk):
+        if e >> 2 not in met and not e & 1:
+            under_first.append(e >> 2)
+        met.add(e >> 2)
+    depth, root = [0], []
+    real_resolve, real_smooth = kauffman._resolve, kauffman.smooth
+
+    def resolving(sub, cache):
+        depth[0] += 1
+        try:
+            return real_resolve(sub, cache)
+        finally:
+            depth[0] -= 1
+
+    def smoothing(base, c, mode):
+        if depth[0] == 1:
+            root.append((c, mode))
+        return real_smooth(base, c, mode)
+
+    monkeypatch.setattr(kauffman, "_resolve", resolving)
+    monkeypatch.setattr(kauffman, "smooth", smoothing)
+    lambda_poly(d)
+    assert len(under_first) > 1
+    assert root == [(c, mode) for c in under_first for mode in (ZERO, INFINITY)]
+
+
+def test_lambda_digest_is_the_walk_engine_value():
+    # read at c0abaea, where the skein engine only walks, by running
+    #   PYTHONPATH=src:tests python3 -c 'import test_kauffman as t; print(t.lambda_digest())'
+    # from the root of a checkout of that commit with this file copied
+    # into its tests/
+    assert lambda_digest() == "a8236f2ad0090148dfe884008b759d5820478217928ea60058306a9e4e542499"
 
 
 def test_scrambled_and_mirrored_builds_match_the_transfer_walk():
     rng = random.Random(29)
     for c in range(2, 10):
         for code in enumerate_standard(c):
-            d = build_standard(code)
-            perm = list(range(d.crossings))
-            rng.shuffle(perm)
-            rots = [rng.choice([0, 2]) for _ in perm]
-            scrambled = parse_pd(to_pd(relabel(d, perm, rots)))
+            scrambled = parse_pd(to_pd(_scramble(build_standard(code), rng)))
             p = lambda_code(code)
             assert lambda_poly(scrambled) == p, code
             assert lambda_poly(mirror(scrambled)) == p.mirror_a(), code
