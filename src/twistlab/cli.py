@@ -151,7 +151,7 @@ def cmd_pd(args):
         try:
             rec = json.loads(ln)
             name, pd = rec["name"], rec["pd"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
             raise DiagramError(f"bad pd record {ln[:40]!r}: {exc}") from None
         if not isinstance(name, str):
             raise DiagramError(f"bad pd record {ln[:40]!r}: name must be a string")

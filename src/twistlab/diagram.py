@@ -377,14 +377,15 @@ def _rotate_crossings(d: LinkDiagram, crossings) -> LinkDiagram:
 
 
 def _bigon_partner(mate, c: int, twist: bool, skip=()) -> int:
-    """The crossing that bounds a 2-gon face with crossing c, or -1.
+    """The endpoint of crossing c whose arc starts a 2-gon face, or -1.
 
     Arcs 4c+s -> 4x+t and 4x+t+1 -> 4c+s-1 bound a 2-gon face under the
-    turn rule of ``_face_count``.  When s and t have equal parity one
-    strand is over at both ends, a Reidemeister II bigon; when they
-    differ the strands alternate, a twist bigon.  ``twist`` picks which
-    kind is looked for.  Slots are tried in order, and crossings in
-    ``skip`` are passed over.
+    turn rule of ``_face_count``, in the corner between slots s-1 and s
+    of c; 4c+s is returned, and x is the crossing of its mate.  When s
+    and t have equal parity one strand is over at both ends, a
+    Reidemeister II bigon; when they differ the strands alternate, a
+    twist bigon.  ``twist`` picks which kind is looked for.  Slots are
+    tried in order, and crossings in ``skip`` are passed over.
     """
     b = 4 * c
     for s in range(4):
@@ -392,22 +393,45 @@ def _bigon_partner(mate, c: int, twist: bool, skip=()) -> int:
         x = m >> 2
         if (x != c and (m ^ s) & 1 == twist and x not in skip
                 and mate[(m & ~3) | ((m + 1) & 3)] == b + ((s - 1) & 3)):
-            return x
+            return b + s
     return -1
 
 
-def _twist_crossing(d: LinkDiagram) -> int:
-    """Bigon partner of the lowest crossing in a twist bigon, or -1.
+def twist_region(d: LinkDiagram):
+    """The twist through the lowest crossing in a twist bigon, smoothed three ways.
 
-    Excision keeps the order of the crossings that survive it, so the
-    diagrams left by resolving this crossing go on along the same twist.
+    None when d has no twist bigon.  Otherwise the chain x_1..x_k of
+    crossings joined by twist bigons runs from that crossing x_1 both
+    ways until it ends or closes up.  A bigon lies in corners of one
+    kind at both its crossings, and bigons with distinct partners in
+    opposite corners, so at every chain crossing the same mode, along,
+    passes the strands on along the twist, and the other, cross, joins
+    the two slots of a bigon corner.  Returns ``(k, along, (d1, d0,
+    dc))``: d1 along-smooths x_2..x_k, d0 all k, and dc cross-smooths
+    x_1 and along-smooths the rest, each in one ``_excise``.
     """
     mate = d.mate
     for c in range(d.crossings):
-        x = _bigon_partner(mate, c, True)
-        if x >= 0:
-            return x
-    return -1
+        e = _bigon_partner(mate, c, True)
+        if e >= 0:
+            break
+    else:
+        return None
+    # the bigon corner lies between slots s-1 and s, with s = e & 3: the
+    # pairs 0-1 and 2-3 of ZERO when s is odd
+    cross, along = (ZERO, INFINITY) if e & 1 else (INFINITY, ZERO)
+    chain = [c]
+    for _ in range(2):  # out from c past one end, then past the other
+        while e >= 0:
+            chain.append(mate[e] >> 2)
+            e = _bigon_partner(mate, chain[-1], True, chain)
+        e = _bigon_partner(mate, c, True, chain)
+    rest = dict.fromkeys(chain[1:], _SMOOTH_PAIRS[along])
+    return len(chain), along, (
+        _excise(d, rest),
+        _excise(d, {c: _SMOOTH_PAIRS[along], **rest}),
+        _excise(d, {c: _SMOOTH_PAIRS[cross], **rest}),
+    )
 
 
 def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
@@ -436,9 +460,9 @@ def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
                     bridges[c] = _SMOOTH_PAIRS[INFINITY if sign > 0 else ZERO]
                     break
             else:
-                x = _bigon_partner(mate, c, False, bridges)
-                if x >= 0:
-                    bridges[c] = bridges[x] = _STRAIGHT
+                e = _bigon_partner(mate, c, False, bridges)
+                if e >= 0:
+                    bridges[c] = bridges[mate[e] >> 2] = _STRAIGHT
         if not bridges:
             return d, shift
         d = _excise(d, bridges)
@@ -638,6 +662,8 @@ def parse_pd(pd) -> LinkDiagram:
             pd = json.loads(pd)
         except json.JSONDecodeError as exc:
             raise PDTypeError(f"a pd code given as text must be JSON: {exc}") from None
+        except RecursionError:
+            raise PDTypeError("a pd code given as text is nested too deeply") from None
     if not isinstance(pd, (list, tuple)) or not all(
         isinstance(t, (list, tuple)) and all(type(x) in (int, str) for x in t) for t in pd
     ):

@@ -19,20 +19,29 @@ unchanged because Lambda is a regular-isotopy invariant.  Each pass of
 and bigon it finds that shares no crossing with another.
 
 A diagram that still has a twist bigon, a 2-gon face whose strands
-alternate, takes one twist step at a crossing x of that bigon:
+alternate, takes one twist-region step.  ``diagram.twist_region``
+follows twist bigons from the lowest crossing x_1 in one to the chain
+x_1..x_k.  At each of its crossings the cross smoothing joins the two
+slots of a bigon corner and the along smoothing passes the strands on
+along the twist.  By Kauffman's tangle relations (below) the chain's
+tangle is P_k X + Q_k H + R_k V, where X keeps one crossing, H
+along-smooths all and V cross-smooths one, the rest along-smoothed, so
 
-    Lambda(D) = z (Lambda(D0) + Lambda(Dinf)) - Lambda(switch_x D).
+    Lambda(D) = P_k Lambda(D1) + Q_k Lambda(D0) + R_k Lambda(Dc)
 
-This is the skein relation at x, so it holds whichever x is taken; on
-a horizontal twist it is the tangle relation X X = -H + z X + z a V
-that ``lambda_code`` below applies once per crossing.  All three
-children shrink once simplified: the switch turns the twist bigon into
-a Reidemeister II bigon, which cancels two crossings; one smoothing
-leaves a kink at the bigon partner, again two fewer; the other
-shortens the twist by one.  x is the partner of the lowest crossing
-that has a twist bigon, and excision keeps the order of the crossings
-that survive, so the children go on along the same twist and share
-memo entries.
+where D1 along-smooths x_2..x_k, D0 all k, Dc cross-smooths x_1 and
+along-smooths the rest, and
+
+    P_j = z P_(j-1) - P_(j-2),                  P_0 = 0, P_1 = 1,
+    Q_j = z Q_(j-1) - Q_(j-2),                  Q_0 = 1, Q_1 = 0,
+    R_j = z R_(j-1) - R_(j-2) + z a^(e(j-1)),   R_0 = R_1 = 0,
+
+with e = +1 when along is INFINITY, else -1.  Such a chain is a
+horizontal twist of ``lambda_code`` when e = +1 and a vertical one
+when e = -1, and the coefficients come from k - 1 of its steps applied
+to X.  At k = 2 this is the skein relation at x_2.  All three children
+lose the region, D1 but for x_1, which keeps the lowest label, so the
+next step starts from it; a k-crossing twist costs one memo miss.
 
 A diagram with no twist bigon is walked instead: the engine switches
 each crossing first met on its under strand, accumulating the skein
@@ -74,10 +83,11 @@ polynomials.
 Work that could not finish is refused up front.  The skein engine
 takes at most MAX_SKEIN_CROSSINGS = 14 crossings.  On 2 vCPUs with
 Python 3.11, standard builds of 2 1...1 2, their mirrors and connected
-sums of two such builds each take 3 to 5 ms at 12 to 14 crossings,
-and, with the budget lifted, at most 6.4 ms at 15 and 16 (medians of
-five calls).  Diagrams with few twist bigons still cost time
-exponential in crossings, so the budget stays.  Larger diagrams raise
+sums of two such builds each take 3.7 to 7.5 ms at 12 to 14 crossings,
+and, with the budget lifted, at most 10 ms at 15 and 16; the build of
+14, one twist, takes 0.27 ms (medians of five calls).  Diagrams with
+few twist bigons still cost time exponential in crossings, so the
+budget stays.  Larger diagrams raise
 SkeinBudgetError.  The transfer walk takes at most MAX_CODE_CROSSINGS =
 200 crossings: the polynomials grow with the code, so verify_code
 takes 0.43 s on 2 1x96 2 (100 crossings) and 3.1 s on 2 1x196 2 (200),
@@ -98,10 +108,10 @@ from .diagram import (
     LinkDiagram,
     _rotate_crossings,
     _traversal_entries,
-    _twist_crossing,
     canonical_key,
     remove_curls,
     smooth,
+    twist_region,
 )
 from .notation import NotationError, crossing_axes
 
@@ -298,6 +308,21 @@ def _delta_power(k: int) -> LaurentPoly2:
     return _DELTA_POWERS[k]
 
 
+# (H, X, V) vectors of horizontal (along INFINITY) and vertical (along
+# ZERO) twists of 1, 2, ... crossings
+_TWISTS = {INFINITY: [(_ZERO, _ONE, _ZERO)], ZERO: [(_ZERO, _ONE, _ZERO)]}
+
+
+def _twist_coefficients(k: int, along: str) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
+    """(P_k, Q_k, R_k) of a twist region whose along smoothing is ``along``."""
+    twists = _TWISTS[along]
+    horizontal = along == INFINITY
+    while len(twists) < k:
+        twists.append((_twist_horizontal if horizontal else _twist_vertical)(*twists[-1]))
+    h, x, v = twists[k - 1]
+    return (x, h, v) if horizontal else (x, v, h)
+
+
 def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
     """Kauffman regular-isotopy polynomial of a diagram.
 
@@ -336,8 +361,10 @@ def _lambda(d: LinkDiagram, cache) -> LaurentPoly2:
 def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     """Skein recursion for a simplified diagram with at least one crossing.
 
-    A diagram with a twist bigon takes the twist step of the module
-    docstring at ``diagram._twist_crossing`` and nothing else.  Its walk
+    A diagram with a twist bigon takes the twist-region step of the
+    module docstring on ``diagram.twist_region`` and nothing else: the
+    region's k crossings go in one step, whose coefficients are k - 1
+    transfer steps of ``lambda_code`` on one crossing.  Its walk
     is computed all the same and left unused: one ``_traversal_entries``
     call per miss is how perfbench's tracer counts memo misses, so it
     stays until the engine counts its own.
@@ -359,10 +386,11 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     are read off the same walk.
     """
     walks = _traversal_entries(d)
-    x = _twist_crossing(d)
-    if x >= 0:
-        branch = _lambda(smooth(d, x, ZERO), cache) + _lambda(smooth(d, x, INFINITY), cache)
-        return branch * _Z - _lambda(_rotate_crossings(d, (x,)), cache)
+    region = twist_region(d)
+    if region is not None:
+        k, along, (d1, d0, dc) = region
+        p, q, r = _twist_coefficients(k, along)
+        return p * _lambda(d1, cache) + q * _lambda(d0, cache) + r * _lambda(dc, cache)
     acc = _ZERO
     sign = 1
     switched: list[int] = []

@@ -134,6 +134,15 @@ def test_bad_pd_record_exits_two(tmp_path, capsys, pd):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_pd_record_nested_too_deeply_exits_two(tmp_path, capsys):
+    target = tmp_path / "deep.jsonl"
+    target.write_text("[" * 100000 + "\n", encoding="utf-8")
+    assert main(["pd", "--file", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", [[1, 2], 7, None])
 def test_pd_record_name_must_be_a_string(tmp_path, capsys, name):
     target = tmp_path / "named.jsonl"

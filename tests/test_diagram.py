@@ -395,8 +395,23 @@ def test_internal_diagrams_are_valid_matchings():
         chosen = rng.sample(range(d.crossings), rng.randrange(1, d.crossings + 1))
         made.append(diagram._excise(d, {c: rng.choice(modes) for c in chosen}))
         made.append(remove_curls(diagram._rotate_crossings(d, chosen))[0])
+        region = diagram.twist_region(d)
+        if region is not None:
+            made += region[2]
         for r in made:
             LinkDiagram(r.mate, r.free_loops)
+
+
+def test_twist_region_takes_the_whole_twist():
+    # a closed twist is taken whole and a pretzel column is one region;
+    # the children keep one crossing of it or none, and a mirror turns
+    # the twist the other way
+    for d, k, along in ((_build("7"), 7, INFINITY), (mirror(_build("7")), 7, ZERO),
+                        (pretzel(4, 3, 5), 4, ZERO), (mirror(pretzel(4, 3, 5)), 4, INFINITY)):
+        got, got_along, children = diagram.twist_region(d)
+        assert (got, got_along) == (k, along)
+        assert [x.crossings for x in children] == [d.crossings - k + 1] + [d.crossings - k] * 2
+    assert diagram.twist_region(unlink(1)) is None
 
 
 def test_bigon_cancellation_ignores_crossing_labels():
@@ -548,6 +563,12 @@ def test_parse_pd_errors():
 def test_parse_pd_rejects_text_that_is_not_json():
     with pytest.raises(PDTypeError):
         parse_pd("nope")
+
+
+def test_parse_pd_rejects_text_nested_too_deeply():
+    # json.loads raises RecursionError here, which is not a DiagramError
+    with pytest.raises(PDTypeError):
+        parse_pd("[" * 100000)
 
 
 def test_parse_pd_accepts_split_and_summed_diagrams():

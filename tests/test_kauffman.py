@@ -76,8 +76,26 @@ def lambda_digest() -> str:
             out.append(_scramble(mirror(d) if rng.random() < 0.5 else d, rng))
             sums += 1
     out.append(parse_pd(BORROMEAN))
+    return _digest(out)
+
+
+def pretzel_digest() -> str:
+    """sha256 of Lambda over pretzels with long twists, mirrored and scrambled.
+
+    Each pretzel, its mirror and a scrambled copy of both; the mirror
+    turns every twist the other way.
+    """
+    rng = random.Random(67)
+    out = []
+    for twists in ((3, 3, 3), (4, 4, 4), (2, 3, 4), (5, 5, 3), (2, 2, 2, 2, 2), (3, 3, 3, 3), (6, 7)):
+        for d in (pretzel(*twists), mirror(pretzel(*twists))):
+            out += [d, _scramble(d, rng)]
+    return _digest(out)
+
+
+def _digest(diagrams) -> str:
     h = hashlib.sha256()
-    for d in out:
+    for d in diagrams:
         h.update(json.dumps(lambda_poly(d).terms()).encode())
     return h.hexdigest()
 
@@ -286,9 +304,10 @@ def test_engine_work_on_scrambled_builds_is_fixed(monkeypatch):
         for d in (build_standard(code), mirror(build_standard(code))):
             lambda_poly(_scramble(d, rng))
     # walks started where the crossing labels put them took 4278, 1920
-    # and 791, and walks started where they switch fewest crossings took
-    # 2584, 1484 and 682; a twist step at each miss cuts them
-    assert calls == {"remove_curls": 1642, "canonical_key": 1134, "_traversal_entries": 526}
+    # and 791, walks started where they switch fewest crossings 2584,
+    # 1484 and 682, and a twist step of one crossing at each miss 1642,
+    # 1134 and 526; a whole twist region at each miss cuts them
+    assert calls == {"remove_curls": 1222, "canonical_key": 650, "_traversal_entries": 386}
 
 
 def _twist_chain(c):
@@ -307,12 +326,23 @@ def test_twist_steps_bound_the_work_on_mirrors_and_sums(monkeypatch):
             assert skein_calls(monkeypatch, lambda: lambda_poly(d)) <= 2 * c
 
 
+def test_one_miss_resolves_a_whole_twist_region(monkeypatch):
+    # with a twist step of one crossing at each miss these took 13, 13,
+    # 13 and 18 nodes
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    seven = _build("7")
+    for d, most in ((_build("14"), 2), (mirror(_build("14")), 2), (_build("7 7"), 4),
+                    (connected_sum(seven, seven), 4)):
+        assert d.crossings == 14
+        assert skein_calls(monkeypatch, lambda: lambda_poly(d)) <= most
+
+
 def test_twist_free_borromean_rings_take_the_walk(monkeypatch):
     # the root node smooths, in order, every crossing its walk first
-    # meets going under; a twist step would smooth one crossing
+    # meets going under; a twist region step would smooth none
     d = parse_pd(BORROMEAN)
     assert remove_curls(d) == (d, 0)
-    assert diagram._twist_crossing(d) == -1
+    assert diagram.twist_region(d) is None
     met, under_first = set(), []
     for e in (e for walk in diagram._traversal_entries(d) for e in walk):
         if e >> 2 not in met and not e & 1:
@@ -346,6 +376,15 @@ def test_lambda_digest_is_the_walk_engine_value():
     # from the root of a checkout of that commit with this file copied
     # into its tests/
     assert lambda_digest() == "a8236f2ad0090148dfe884008b759d5820478217928ea60058306a9e4e542499"
+
+
+def test_pretzel_digest_is_the_twist_step_value():
+    # read at d410a90, where a skein miss resolves one twist crossing, by
+    # running
+    #   PYTHONPATH=src:tests python3 -c 'import test_kauffman as t; print(t.pretzel_digest())'
+    # from the root of a checkout of that commit with this file copied
+    # into its tests/
+    assert pretzel_digest() == "18c359d1d9df23e5e6060e875cbbd62e28d7b64352c00ccd1b98b93c460e379d"
 
 
 def test_scrambled_and_mirrored_builds_match_the_transfer_walk():
