@@ -4,7 +4,7 @@ The package computes the two-variable regular-isotopy polynomial
 Lambda(a, z) of a link diagram over the integers, builds standard
 alternating diagrams of rational links from Conway codes, and checks
 mechanically that the three leading coefficients in the second-highest
-z row count the diagram's twist sites by turning direction.
+z row count the diagram's twist sites by axis.
 """
 
 from .diagram import (
@@ -29,7 +29,6 @@ from .diagram import (
 from .kauffman import (
     LaurentPoly2,
     TopDegreeMismatchError,
-    TruncatedLambda,
     delta_unlink,
     lambda_code,
     lambda_poly,
@@ -38,8 +37,6 @@ from .kauffman import (
 )
 from .notation import (
     ConwayCode,
-    TwistCensus,
-    census,
     continued_fraction,
     enumerate_standard,
     minimal_code,

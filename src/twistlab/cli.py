@@ -15,7 +15,7 @@ import sys
 
 from .diagram import DiagramError, parse_pd
 from .kauffman import TopDegreeMismatchError, lambda_code, staggered, truncate
-from .notation import NotationError, census, continued_fraction, parse_conway, parse_int
+from .notation import NotationError, continued_fraction, parse_conway, parse_int
 from .verify import (
     amphicheiral_obstruction,
     chirality_class,
@@ -34,30 +34,29 @@ def _parse_code(tokens):
 
 def cmd_compute(args):
     code = _parse_code(args.code)
-    tc = census(code)
     p = lambda_code(code)
-    t = truncate(p, tc.crossings)
+    u = truncate(p, code.crossings)
     frac = continued_fraction(code)
     payload = {
         "code": str(code),
-        "crossings": tc.crossings,
-        "sites": tc.sites,
+        "crossings": code.crossings,
+        "sites": code.sites,
         # a two-bridge link p/q has two components exactly when p is even
         "components": 2 if frac.numerator % 2 == 0 else 1,
         "fraction": [frac.numerator, frac.denominator],
         "lambda": [list(term) for term in p.terms()],
-        "u": list(t.u),
-        "chirality": chirality_class(t),
+        "u": list(u),
+        "chirality": chirality_class(u),
         "amphicheiral": amphicheiral_obstruction(code),
     }
     lines = [
         f"code: {code}",
-        f"crossings: {tc.crossings}  sites: {tc.sites}"
+        f"crossings: {code.crossings}  sites: {code.sites}"
         f"  components: {payload['components']}  fraction: {frac}",
         f"Lambda = {p.pretty()}",
         "top rows:",
-        staggered(p, tc.crossings),
-        f"u = {t.u}  chirality: {payload['chirality']}"
+        staggered(p, code.crossings),
+        f"u = {u}  chirality: {payload['chirality']}"
         f"  amphicheiral: {payload['amphicheiral']}",
     ]
     return 0, payload, lines
@@ -91,7 +90,7 @@ def cmd_mirror(args):
     code = _parse_code(args.code)
     rep = verify_mirror(code)
     q = rep.polynomial
-    u_mirror = truncate(q, rep.crossings).u
+    u_mirror = truncate(q, rep.crossings)
     ok = rep.checks["substitution_match"]
     payload = {
         "code": str(code),
@@ -151,7 +150,7 @@ def cmd_pd(args):
         try:
             rec = json.loads(ln)
             name, pd = rec["name"], rec["pd"]
-        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise DiagramError(f"bad pd record {ln[:40]!r}: {exc}") from None
         if not isinstance(name, str):
             raise DiagramError(f"bad pd record {ln[:40]!r}: name must be a string")

@@ -660,7 +660,7 @@ def parse_pd(pd) -> LinkDiagram:
     if isinstance(pd, str):
         try:
             pd = json.loads(pd)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
             raise PDTypeError(f"a pd code given as text must be JSON: {exc}") from None
         except RecursionError:
             raise PDTypeError("a pd code given as text is nested too deeply") from None

@@ -98,7 +98,6 @@ the crossings.  Larger codes raise CodeBudgetError.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .diagram import (
     INFINITY,
@@ -480,28 +479,14 @@ class TopDegreeMismatchError(ValueError):
     """The polynomial does not look like an alternating diagram's."""
 
 
-@dataclass(frozen=True)
-class TruncatedLambda:
-    """The five leading coefficients of an alternating diagram's polynomial.
+def truncate(p: LaurentPoly2, crossings: int) -> tuple[int, int, int]:
+    """(u_minus, u_zero, u_plus) from the two top z rows, checking their shape.
 
     For a c-crossing reduced alternating diagram the z-degree is c-1,
     the z^(c-1) row is exactly a + 1/a, and the z^(c-2) row is
     supported on a exponents -2, 0, 2 with nonnegative coefficients
     u_minus, u_zero, u_plus.
     """
-
-    crossings: int
-    u_minus: int
-    u_zero: int
-    u_plus: int
-
-    @property
-    def u(self) -> tuple[int, int, int]:
-        return (self.u_minus, self.u_zero, self.u_plus)
-
-
-def truncate(p: LaurentPoly2, crossings: int) -> TruncatedLambda:
-    """Extract the two top z rows, checking their alternating shape."""
     c = crossings
     top = p.max_z()
     if top is None or top > c - 1:
@@ -521,7 +506,7 @@ def truncate(p: LaurentPoly2, crossings: int) -> TruncatedLambda:
     um, u0, up = row.get(-2, 0), row.get(0, 0), row.get(2, 0)
     if min(um, u0, up) < 0:
         raise TopDegreeMismatchError(f"negative twist-site count in {row!r}")
-    return TruncatedLambda(c, um, u0, up)
+    return (um, u0, up)
 
 
 def staggered(p: LaurentPoly2, crossings: int) -> str:

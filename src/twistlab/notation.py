@@ -75,25 +75,6 @@ class ConwayCode:
         return " ".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True)
-class TwistCensus:
-    """Site counts of a code split by turning direction.
-
-    Sites whose axis is horizontal turn left; vertical sites turn
-    right.  With the last site horizontal and axes alternating, a code
-    with s sites always has ceil(s/2) left-turning and floor(s/2)
-    right-turning sites.  ``extra`` counts crossings beyond the minimum
-    a standard-format code with the same number of sites can have.
-    """
-
-    sites: int
-    left_turning: int
-    right_turning: int
-    crossings: int
-    extra: int
-    is_minimal: bool
-
-
 def crossing_axes(code: ConwayCode) -> list[bool]:
     """Axis of every crossing in build order, True for horizontal.
 
@@ -119,41 +100,15 @@ def parse_int(text: str, what: str = "twist count") -> int:
     """An int written as ASCII digits with an optional sign.
 
     Underscores, blanks and non-ASCII digits, which ``int`` would
-    accept, are refused; ``what`` names the value in the error.
+    accept, are refused, and so are numbers too long for ``int`` to
+    convert; ``what`` names the value in the error.
     """
     if not _ASCII_INT.fullmatch(text):
         raise NonNumericTokenError(f"bad {what} {text!r}")
-    return int(text)
-
-
-def census(code: ConwayCode) -> TwistCensus:
-    """Count sites by turning direction and measure distance from minimality.
-
-    Horizontal sites are counted as left-turning, and ``predicted_u``
-    puts them at a^2.  The paper's abstract names the other way round:
-    it pairs a^-2 z^(c-2) with left-turning and a^2 z^(c-2) with
-    right-turning sites.  Every check compares counts by axis, so only
-    the names differ.
-
-    Minimal codes have two crossings at each end site and one at each
-    interior site, except that a single site needs three crossings to
-    close into something other than a clasp.  The two-crossing clasp
-    itself is treated as minimal with nothing to spare.
-    """
-    s = code.sites
-    c = code.crossings
-    if s == 1 and c == 2:
-        extra = 0
-    else:
-        extra = c - (s + 2)
-    return TwistCensus(
-        sites=s,
-        left_turning=(s + 1) // 2,
-        right_turning=s // 2,
-        crossings=c,
-        extra=extra,
-        is_minimal=extra == 0,
-    )
+    try:
+        return int(text)
+    except ValueError:
+        raise NonNumericTokenError(f"bad {what} {text[:20]}... ({len(text)} digits)") from None
 
 
 def continued_fraction(code: ConwayCode) -> Fraction:
@@ -168,27 +123,33 @@ def continued_fraction(code: ConwayCode) -> Fraction:
     return value
 
 
-def predicted_u(tc: TwistCensus) -> tuple[int, int, int]:
+def predicted_u(code: ConwayCode) -> tuple[int, int, int]:
     """Expected (u_minus, u_zero, u_plus) for a standard-format code.
 
-    u_plus counts left-turning sites, u_minus right-turning sites and
-    u_zero all sites, so the trefoil ``3`` gives (0, 1, 1).  That is the
-    opposite of the abstract's naming, which pairs left-turning sites
-    with a^-2; see ``census``.  The clasp is the one exception: its
-    polynomial has no spread at all in the second-highest z row.
+    u_zero counts all sites, u_plus the horizontal ones and u_minus the
+    vertical ones, so the trefoil ``3`` gives (0, 1, 1); the abstract
+    calls the a^2 sites right-turning.  Horizontal and vertical sites
+    balance exactly when the site count is even, except the clasp,
+    whose polynomial has no spread at all in the second-highest z row.
     """
-    if tc.sites == 1 and tc.crossings == 2:
+    s = code.sites
+    if s == 1 and code.crossings == 2:
         return (0, 1, 0)
-    return (tc.sites // 2, tc.sites, (tc.sites + 1) // 2)
+    return (s // 2, s, (s + 1) // 2)
 
 
-def minimal_code(tc: TwistCensus) -> ConwayCode:
-    """Smallest standard-format code with the same number of sites."""
-    if tc.sites == 1:
-        if tc.crossings == 2:
+def minimal_code(code: ConwayCode) -> ConwayCode:
+    """Smallest standard-format code with the same number of sites.
+
+    That is two crossings at each end site and one at each interior
+    site, except that a single site needs three crossings to close into
+    something other than the clasp, which has no smaller standard form.
+    """
+    if code.sites == 1:
+        if code.crossings == 2:
             raise HopfBaseError("the clasp has no smaller standard form")
         return ConwayCode((3,))
-    return ConwayCode((2,) + (1,) * (tc.sites - 2) + (2,))
+    return ConwayCode((2,) + (1,) * (code.sites - 2) + (2,))
 
 
 def enumerate_standard(crossings: int) -> list[ConwayCode]:

@@ -23,13 +23,12 @@ from .diagram import LinkDiagram, build_standard, connected_sum, mirror
 from .kauffman import (
     LaurentPoly2,
     TopDegreeMismatchError,
-    TruncatedLambda,
     lambda_code,
     lambda_code_smoothings,
     lambda_poly,
     truncate,
 )
-from .notation import ConwayCode, NotationError, census, enumerate_standard, minimal_code, predicted_u
+from .notation import ConwayCode, NotationError, enumerate_standard, minimal_code, predicted_u
 
 TOP_HEAVY = "top_heavy"
 BOTTOM_HEAVY = "bottom_heavy"
@@ -79,27 +78,26 @@ class VerificationReport:
         return "  ".join(bits) + "  [" + flags + "]  " + status
 
 
-def chirality_class(t: TruncatedLambda) -> str:
-    """Classify the a-spread of the z^(c-2) row."""
-    if t.u_plus > t.u_minus:
+def chirality_class(u: tuple[int, int, int]) -> str:
+    """Classify the a-spread (u_minus, u_zero, u_plus) of the z^(c-2) row."""
+    u_minus, _, u_plus = u
+    if u_plus > u_minus:
         return TOP_HEAVY
-    if t.u_plus < t.u_minus:
+    if u_plus < u_minus:
         return BOTTOM_HEAVY
     return BALANCED
 
 
 def amphicheiral_obstruction(code: ConwayCode) -> str:
-    """'obstructed' when the site count alone rules out amphicheirality.
+    """'obstructed' when the site counts alone rule out amphicheirality.
 
-    An odd number of twist sites forces u_plus != u_minus once the
-    diagram has at least three crossings, and a mirror image swaps the
-    two, so such a link cannot equal its mirror.  Everything else is
+    A mirror image swaps u_plus and u_minus, so a link whose predicted
+    triple is unbalanced cannot equal its mirror.  Everything else is
     'inconclusive'; a balanced top row proves nothing.
     """
-    tc = census(code)
-    if tc.sites % 2 == 1 and tc.crossings >= 3:
-        return "obstructed"
-    return "inconclusive"
+    if chirality_class(predicted_u(code)) == BALANCED:
+        return "inconclusive"
+    return "obstructed"
 
 
 def _degree_ok(p: LaurentPoly2, crossings: int) -> bool:
@@ -135,29 +133,28 @@ def check_diagram(
     p = lambda_poly(d, cache)
     rep = VerificationReport(input=name, crossings=d.crossings)
     try:
-        t = truncate(p, d.crossings)
+        u = truncate(p, d.crossings)
     except TopDegreeMismatchError as exc:
         rep.checks["top_pair"] = False
         rep.failure = str(exc)
         return rep
-    rep.computed_u = t.u
+    rep.computed_u = u
     rep.checks["degree_bounds"] = _degree_ok(p, d.crossings)
     rep.checks["top_pair"] = True
     if expected is not None:
-        rep.checks["expected_match"] = t.u == tuple(expected)
+        rep.checks["expected_match"] = u == tuple(expected)
     return rep
 
 
 def verify_mirror(code: ConwayCode) -> VerificationReport:
     """Check that the mirrored build's polynomial is Lambda with a -> 1/a."""
-    tc = census(code)
     p = lambda_code(code)
     q = lambda_poly(mirror(build_standard(code)))
     rep = VerificationReport(
         input=str(code),
-        crossings=tc.crossings,
-        sites=tc.sites,
-        computed_u=truncate(p, tc.crossings).u,
+        crossings=code.crossings,
+        sites=code.sites,
+        computed_u=truncate(p, code.crossings),
         polynomial=q,
     )
     rep.checks["substitution_match"] = q == p.mirror_a()
@@ -179,29 +176,27 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     by at least three, so there Lambda must equal z times the sum over
     both smoothings at that crossing.
     """
-    tc = census(code)
+    c = code.crossings
     p = lambda_code(code)
-    t = truncate(p, tc.crossings)
-    expect = predicted_u(tc)
+    u = truncate(p, c)
+    expect = predicted_u(code)
     rep = VerificationReport(
-        input=str(code),
-        crossings=tc.crossings,
-        sites=tc.sites,
-        computed_u=t.u,
-        predicted=expect,
+        input=str(code), crossings=c, sites=code.sites, computed_u=u, predicted=expect
     )
-    want_balanced = tc.sites % 2 == 0 or tc.crossings < 3
-    rep.checks["degree_bounds"] = _degree_ok(p, tc.crossings)
-    rep.checks["theorem_match"] = t.u == expect
-    rep.checks["chirality"] = (chirality_class(t) == BALANCED) == want_balanced
-    if not (tc.sites == 1 and tc.crossings == 2):
-        small = minimal_code(tc)
-        t_small = t if small == code else truncate(lambda_code(small), small.crossings)
-        rep.checks["reduction_match"] = t.u == t_small.u
-    if tc.crossings >= 3:
+    rep.checks["degree_bounds"] = _degree_ok(p, c)
+    rep.checks["theorem_match"] = u == expect
+    rep.checks["chirality"] = (chirality_class(u) == BALANCED) == (
+        chirality_class(expect) == BALANCED
+    )
+    if not (code.sites == 1 and c == 2):
+        small = minimal_code(code)
+        rep.checks["reduction_match"] = small == code or u == truncate(
+            lambda_code(small), small.crossings
+        )
+    if c >= 3:
         zero, infinity = lambda_code_smoothings(code)
         rhs = (zero + infinity) * LaurentPoly2.monomial(1, 0, 1)
-        rows = (tc.crossings - 1, tc.crossings - 2)
+        rows = (c - 1, c - 2)
         rep.checks["skein_truncated"] = all(p.z_row(r) == rhs.z_row(r) for r in rows)
     return rep
 

@@ -6,7 +6,7 @@ import pathlib
 import random
 
 from twistlab import kauffman
-from twistlab.diagram import LinkDiagram, diagram_from_arcs
+from twistlab.diagram import LinkDiagram, diagram_from_arcs, parse_pd
 from twistlab import (
     INFINITY,
     ZERO,
@@ -35,6 +35,26 @@ def pretzel(*twists: int) -> LinkDiagram:
         arcs += [(c1["NE"], c2["NW"]), (c1["SE"], c2["SW"])]
     arcs += [(corners[0]["NW"], corners[-1]["NE"]), (corners[0]["SW"], corners[-1]["SE"])]
     return diagram_from_arcs(cr, arcs)
+
+
+def turks_head(n: int) -> LinkDiagram:
+    """The closed 3-braid (s1 s2^-1)^n; n = 3 is the Borromean rings.
+
+    Strands run upward.  A crossing s_i has the PD tuple [BL, BR, TR,
+    TL] of its bottom-left, bottom-right, top-right and top-left arcs,
+    and s_i^-1 the tuple [BR, TR, TL, BL].  The closure joins each top
+    arc to the bottom arc at the same position.  Every n >= 3 gives an
+    alternating diagram with no twist bigon.
+    """
+    bottom = [0, 1, 2]
+    at, pd = list(bottom), []
+    for k in range(2 * n):
+        i = k % 2
+        bl, br, tl, tr = at[i], at[i + 1], 3 + 2 * k, 4 + 2 * k
+        pd.append([bl, br, tr, tl] if i == 0 else [br, tr, tl, bl])
+        at[i], at[i + 1] = tl, tr
+    top = dict(zip(at, bottom))
+    return parse_pd([[top.get(x, x) for x in t] for t in pd])
 
 
 def add_curl(d: LinkDiagram, endpoint: int, sign: int) -> LinkDiagram:

@@ -172,6 +172,26 @@ def test_integer_flags_take_ascii_digits(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "1" * 5000],
+        ["verify", "--enumerate", "--max-crossings", "1" * 5000],
+        ["pd", "--file", FIXTURES, "--expect", "1" * 5000 + ",1,1"],
+        ["pd", "--file", "LONG"],  # a 5000-digit arc label
+    ],
+)
+def test_numbers_too_long_for_int_exit_two(tmp_path, capsys, argv):
+    # past 4300 digits int() and json.loads raise a plain ValueError
+    long_label = tmp_path / "long.jsonl"
+    long_label.write_text('{"name": "x", "pd": [[%s, 2, 3, 4]]}\n' % ("1" * 5000), encoding="utf-8")
+    argv = [str(long_label) if a == "LONG" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n\n"])
 def test_pd_file_without_records_exits_two(tmp_path, capsys, text):
     # a check that ran nothing must not report PASS

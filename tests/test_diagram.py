@@ -571,6 +571,12 @@ def test_parse_pd_rejects_text_nested_too_deeply():
         parse_pd("[" * 100000)
 
 
+def test_parse_pd_rejects_labels_too_long_for_int():
+    # json.loads raises a plain ValueError past 4300 digits
+    with pytest.raises(PDTypeError):
+        parse_pd("[[" + "1" * 5000 + ", 2, 3, 4]]")
+
+
 def test_parse_pd_accepts_split_and_summed_diagrams():
     hopf = to_pd(_build("2"))
     trefoil = [[x + 10 for x in row] for row in to_pd(_build("3"))]

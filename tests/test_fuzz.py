@@ -20,7 +20,8 @@ from helpers import DATA
 
 RECORDS = [json.loads(ln) for ln in (DATA / "links.jsonl").read_text(encoding="utf-8").splitlines()]
 
-TOKENS = ["1", "2", "2", "3", "4", "0", "-1", "1_0", ",", "2,1", "3,2", "x", "", "1.5", "+2", "٣"]
+TOKENS = ["1", "2", "2", "3", "4", "0", "-1", "1_0", ",", "2,1", "3,2", "x", "", "1.5", "+2", "٣",
+          "9" * 4301]
 COMMANDS = ["compute", "verify", "mirror", "sum"]
 
 

@@ -34,7 +34,7 @@ from twistlab.kauffman import (
 )
 from twistlab.notation import enumerate_standard, parse_conway
 
-from helpers import add_curl, pretzel, random_diagrams, relabel, skein_calls
+from helpers import add_curl, pretzel, random_diagrams, relabel, skein_calls, turks_head
 
 # no 2-gon face, so no twist bigon: the skein engine takes the walk
 BORROMEAN = [[1, 2, 3, 4], [5, 6, 2, 7], [6, 8, 9, 3], [10, 11, 8, 5], [11, 12, 4, 9], [7, 1, 12, 10]]
@@ -182,14 +182,14 @@ def test_trefoil_polynomial():
 
 def test_trefoil_truncation():
     t = truncate(lambda_poly(_build("3")), 3)
-    assert t.u == (0, 1, 1)
+    assert t == (0, 1, 1)
 
 
 def test_figure_eight_top_rows():
     p = lambda_poly(_build("2 2"))
     assert p.z_row(3) == {1: 1, -1: 1}
     assert p.z_row(2) == {2: 1, 0: 2, -2: 1}
-    assert truncate(p, 4).u == (1, 2, 1)
+    assert truncate(p, 4) == (1, 2, 1)
 
 
 def test_figure_eight_staggered_layout():
@@ -204,7 +204,7 @@ def test_figure_eight_staggered_layout():
 
 
 def test_five_site_seven_crossing_counts():
-    assert truncate(lambda_poly(_build("2 1 1 1 2")), 7).u == (2, 5, 3)
+    assert truncate(lambda_poly(_build("2 1 1 1 2")), 7) == (2, 5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,28 @@ def test_one_miss_resolves_a_whole_twist_region(monkeypatch):
                     (connected_sum(seven, seven), 4)):
         assert d.crossings == 14
         assert skein_calls(monkeypatch, lambda: lambda_poly(d)) <= most
+
+
+def test_walk_bounds_the_work_on_twist_free_diagrams(monkeypatch):
+    # closed 3-braids (s1 s2^-1)^n have no twist bigon, so every miss
+    # walks.  Walks started only forward took 127 nodes on n = 7, walks
+    # in plain ``_walks`` order 148 and 102, and components taken in
+    # ``_walks`` order 88 on the sum
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    seven = turks_head(7)
+    summed = connected_sum(turks_head(3), turks_head(4))
+    for d, most in ((seven, 108), (summed, 73)):
+        assert d.crossings == 14 and diagram.twist_region(d) is None
+        assert skein_calls(monkeypatch, lambda: lambda_poly(d)) <= most
+
+
+def test_twist_free_diagrams_mirror_and_relabel():
+    rng = random.Random(3)
+    for n in range(3, 8):
+        d = turks_head(n)
+        p = lambda_poly(d)
+        assert lambda_poly(mirror(d)) == p.mirror_a()
+        assert lambda_poly(_scramble(d, rng)) == p
 
 
 def test_twist_free_borromean_rings_take_the_walk(monkeypatch):

@@ -1,4 +1,4 @@
-"""Conway code parsing, census arithmetic, and enumeration."""
+"""Conway code parsing, site-count arithmetic, and enumeration."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from twistlab.notation import (
     HopfBaseError,
     NonNumericTokenError,
     NonPositiveEntryError,
-    census,
     continued_fraction,
     crossing_axes,
     enumerate_standard,
@@ -54,6 +53,12 @@ def test_parse_takes_only_ascii_digits():
             parse_conway(bad)
 
 
+def test_numbers_too_long_for_int_are_notation_errors():
+    # int() refuses more than 4300 digits with a plain ValueError
+    with pytest.raises(NonNumericTokenError):
+        parse_conway("1" * 5000)
+
+
 def test_end_entries_need_two_crossings():
     for bad in ("1", "1 2", "2 1", "1 1 1"):
         with pytest.raises(EndEntryTooSmallError):
@@ -67,18 +72,6 @@ def test_constructor_validates_like_parser():
         ConwayCode((2, 1.5, 2))
 
 
-def test_census_counts():
-    tc = census(parse_conway("2 1 1 1 2"))
-    assert (tc.sites, tc.left_turning, tc.right_turning) == (5, 3, 2)
-    assert (tc.crossings, tc.extra, tc.is_minimal) == (7, 0, True)
-
-    tc = census(parse_conway("4 3"))
-    assert (tc.sites, tc.crossings, tc.extra, tc.is_minimal) == (2, 7, 3, False)
-
-    tc = census(parse_conway("5"))
-    assert (tc.crossings, tc.extra) == (5, 2)
-
-
 def test_crossing_axes_alternate_by_site_and_end_horizontal():
     assert crossing_axes(parse_conway("3")) == [True] * 3
     assert crossing_axes(parse_conway("2 1 3")) == [True, True, False, True, True, True]
@@ -88,11 +81,6 @@ def test_crossing_axes_alternate_by_site_and_end_horizontal():
             axes = crossing_axes(code)
             assert len(axes) == c and axes[-1]
             assert sum(axes) == sum(code.entries[-1::-2])
-
-
-def test_census_hopf_is_its_own_minimum():
-    tc = census(parse_conway("2"))
-    assert tc.extra == 0 and tc.is_minimal
 
 
 def test_continued_fraction_frozen_values():
@@ -113,17 +101,17 @@ def test_continued_fraction_shape():
 
 
 def test_predicted_u_values():
-    assert predicted_u(census(parse_conway("2"))) == (0, 1, 0)
-    assert predicted_u(census(parse_conway("3"))) == (0, 1, 1)
-    assert predicted_u(census(parse_conway("2 2"))) == (1, 2, 1)
-    assert predicted_u(census(parse_conway("2 1 1 1 2"))) == (2, 5, 3)
-    assert predicted_u(census(parse_conway("2 1 1 1 1 2"))) == (3, 6, 3)
+    assert predicted_u(parse_conway("2")) == (0, 1, 0)
+    assert predicted_u(parse_conway("3")) == (0, 1, 1)
+    assert predicted_u(parse_conway("2 2")) == (1, 2, 1)
+    assert predicted_u(parse_conway("2 1 1 1 2")) == (2, 5, 3)
+    assert predicted_u(parse_conway("2 1 1 1 1 2")) == (3, 6, 3)
 
 
 def test_predicted_u_splits_sites():
     for c in range(2, 9):
         for code in enumerate_standard(c):
-            um, u0, up = predicted_u(census(code))
+            um, u0, up = predicted_u(code)
             if code.entries == (2,):
                 assert (um, u0, up) == (0, 1, 0)
             else:
@@ -132,19 +120,19 @@ def test_predicted_u_splits_sites():
 
 
 def test_minimal_code():
-    assert minimal_code(census(parse_conway("5"))).entries == (3,)
-    assert minimal_code(census(parse_conway("4 3"))).entries == (2, 2)
-    assert minimal_code(census(parse_conway("2 3 1 2"))).entries == (2, 1, 1, 2)
+    assert minimal_code(parse_conway("5")).entries == (3,)
+    assert minimal_code(parse_conway("4 3")).entries == (2, 2)
+    assert minimal_code(parse_conway("2 3 1 2")).entries == (2, 1, 1, 2)
     with pytest.raises(HopfBaseError):
-        minimal_code(census(parse_conway("2")))
+        minimal_code(parse_conway("2"))
 
 
 def test_minimal_code_is_minimal():
     for c in range(3, 9):
         for code in enumerate_standard(c):
-            small = minimal_code(census(code))
-            assert census(small).is_minimal
-            assert small.sites == code.sites
+            small = minimal_code(code)
+            assert minimal_code(small) == small
+            assert small.sites == code.sites and small.crossings == code.sites + 2
 
 
 def test_enumerate_small_sets():

@@ -198,7 +198,7 @@ def test_verify_code_memo_does_not_change_the_report(monkeypatch):
     want = [verify_code(code).as_dict() for code in codes]
     for code, rep in zip(codes, want):
         ref = truncate(lambda_poly(build_standard(code), memo), code.crossings)
-        assert rep["computed_u"] == list(ref.u), code
+        assert rep["computed_u"] == list(ref), code
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
     assert [verify_code(code).as_dict() for code in codes] == want
 
@@ -242,7 +242,7 @@ def test_verify_code_makes_at_most_three_walks(monkeypatch):
 
 
 def _wrong_prediction(monkeypatch):
-    monkeypatch.setattr(verify, "predicted_u", lambda tc: (0, 0, 0))
+    monkeypatch.setattr(verify, "predicted_u", lambda code: (0, 0, 0))
 
 
 def _wrong_smoothings(monkeypatch):
@@ -296,7 +296,7 @@ def test_verify_mirror():
     for text in ("3", "2 1 2", "2"):
         rep = verify_mirror(_code(text))
         assert rep.checks == {"substitution_match": True}
-        assert rep.computed_u == truncate(lambda_poly(build_standard(_code(text))), rep.crossings).u
+        assert rep.computed_u == truncate(lambda_poly(build_standard(_code(text))), rep.crossings)
         assert rep.polynomial == lambda_poly(mirror(build_standard(_code(text))))
 
 
