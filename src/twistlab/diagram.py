@@ -27,9 +27,7 @@ what ``canonical_key`` quotients out.
 
 from __future__ import annotations
 
-import json
-
-from .notation import crossing_axes
+from .notation import _shown, crossing_axes
 
 ZERO = "zero"
 INFINITY = "infinity"
@@ -87,11 +85,11 @@ class LinkDiagram:
             raise DiagramError("endpoint count must be a multiple of four")
         for e, m in enumerate(mate):
             if not isinstance(m, int) or not 0 <= m < len(mate):
-                raise DiagramError(f"endpoint {e} matched out of range: {m!r}")
+                raise DiagramError(f"endpoint {e} matched out of range: {_shown(m)}")
             if m == e or mate[m] != e:
                 raise DiagramError(f"matching is not a fixed-point-free involution at {e}")
         if not isinstance(free_loops, int) or isinstance(free_loops, bool):
-            raise DiagramError(f"free loop count must be an int, got {free_loops!r}")
+            raise DiagramError(f"free loop count must be an int, got {_shown(free_loops)}")
         if free_loops < 0:
             raise DiagramError("free loop count cannot be negative")
         self.mate = mate
@@ -129,7 +127,7 @@ def diagram_from_arcs(crossing_count, arcs, free_loops=0) -> LinkDiagram:
     for (c1, s1), (c2, s2) in arcs:
         e1, e2 = 4 * c1 + s1, 4 * c2 + s2
         if not (0 <= e1 < len(mate) and 0 <= e2 < len(mate)):
-            raise DiagramError(f"arc endpoint out of range: {(c1, s1)}-{(c2, s2)}")
+            raise DiagramError(f"arc endpoint out of range: {_shown(((c1, s1), (c2, s2)))}")
         if mate[e1] != -1 or mate[e2] != -1 or e1 == e2:
             raise DiagramError(f"slot used twice in arc list near {(c1, s1)}")
         mate[e1], mate[e2] = e2, e1
@@ -286,7 +284,7 @@ _STRAIGHT = ((0, 2), (1, 3))
 
 def _check_crossing(d: LinkDiagram, crossing: int) -> None:
     if not isinstance(crossing, int) or not 0 <= crossing < d.crossings:
-        raise UnknownCrossingError(f"no crossing {crossing!r} in {d!r}")
+        raise UnknownCrossingError(f"no crossing {_shown(crossing)} in {d!r}")
 
 
 def _excise(d: LinkDiagram, bridges) -> LinkDiagram:
@@ -343,7 +341,7 @@ def smooth(d: LinkDiagram, crossing: int, mode: str) -> LinkDiagram:
     """Replace a crossing by one of its two planar reconnections."""
     _check_crossing(d, crossing)
     if mode not in _SMOOTH_PAIRS:
-        raise DiagramError(f"unknown smoothing mode {mode!r}")
+        raise DiagramError(f"unknown smoothing mode {_shown(mode)}")
     return _excise(d, {crossing: _SMOOTH_PAIRS[mode]})
 
 
@@ -473,22 +471,23 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
 
     The first arc of a diagram is the one through endpoint 0.  Cutting
     both and rejoining crosswise merges one component of each diagram.
-    A crossingless circle acts as the identity.
+    A crossingless circle acts as the identity.  A splice of two valid
+    matchings is valid, so the result is not checked again.
     """
     for d in (d1, d2):
         if d.crossings == 0 and d.free_loops == 0:
             raise EmptyDiagramError("cannot sum with an empty diagram")
     if d1.crossings == 0:
-        return LinkDiagram(d2.mate, d2.free_loops + d1.free_loops - 1)
+        return LinkDiagram._trusted(d2.mate, d2.free_loops + d1.free_loops - 1)
     if d2.crossings == 0:
-        return LinkDiagram(d1.mate, d1.free_loops + d2.free_loops - 1)
+        return LinkDiagram._trusted(d1.mate, d1.free_loops + d2.free_loops - 1)
     off = len(d1.mate)
     mate = list(d1.mate) + [m + off for m in d2.mate]
     a1, b1 = 0, d1.mate[0]
     a2, b2 = off, off + d2.mate[0]
     mate[a1], mate[a2] = a2, a1
     mate[b1], mate[b2] = b2, b1
-    return LinkDiagram(tuple(mate), d1.free_loops + d2.free_loops)
+    return LinkDiagram._trusted(tuple(mate), d1.free_loops + d2.free_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -649,21 +648,16 @@ def _face_count(d: LinkDiagram) -> int:
 
 
 def parse_pd(pd) -> LinkDiagram:
-    """Read a planar diagram code: one 4-tuple of arc labels per crossing.
+    """Read a decoded planar diagram code: one 4-tuple of arc labels per crossing.
 
-    Tuple positions map to slots 0..3, so position 0 is the incoming
-    under strand and labels are listed counterclockwise from it.  Every
-    label must appear exactly twice across the whole code, and the code
-    must describe a plane diagram: by Euler's formula each connected
-    component with n crossings bounds n + 2 faces.
+    Text is refused; the CLI decodes each JSON line first.  Tuple
+    positions map to slots 0..3, so position 0 is the incoming under
+    strand and labels are listed counterclockwise from it.  Every label
+    must appear exactly twice across the whole code, which gives every
+    endpoint one partner, and the code must describe a plane diagram:
+    by Euler's formula each connected component with n crossings bounds
+    n + 2 faces.
     """
-    if isinstance(pd, str):
-        try:
-            pd = json.loads(pd)
-        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
-            raise PDTypeError(f"a pd code given as text must be JSON: {exc}") from None
-        except RecursionError:
-            raise PDTypeError("a pd code given as text is nested too deeply") from None
     if not isinstance(pd, (list, tuple)) or not all(
         isinstance(t, (list, tuple)) and all(type(x) in (int, str) for x in t) for t in pd
     ):
@@ -677,14 +671,14 @@ def parse_pd(pd) -> LinkDiagram:
     mate = [-1] * (4 * len(pd))
     for label, eps in where.items():
         if len(eps) == 1:
-            raise DanglingLabelError(f"arc label {label!r} appears only once")
+            raise DanglingLabelError(f"arc label {_shown(label)} appears only once")
         if len(eps) > 2:
             raise LabelCountMismatchError(
-                f"arc label {label!r} appears {len(eps)} times"
+                f"arc label {_shown(label)} appears {len(eps)} times"
             )
         e1, e2 = eps
         mate[e1], mate[e2] = e2, e1
-    d = LinkDiagram(tuple(mate))
+    d = LinkDiagram._trusted(tuple(mate), 0)
     if _face_count(d) != d.crossings + 2 * len(_crossing_groups(d.mate)):
         raise NonPlanarError("the pd code has no plane embedding (Euler count fails)")
     return d

@@ -112,7 +112,7 @@ from .diagram import (
     smooth,
     twist_region,
 )
-from .notation import NotationError, crossing_axes
+from .notation import NotationError, _shown, crossing_axes
 
 _CACHE_ENV = "TWISTLAB_CACHE"
 
@@ -131,44 +131,25 @@ class SkeinBudgetError(DiagramError):
 class LaurentPoly2:
     """Sparse Laurent polynomial in a and z with integer coefficients.
 
-    Terms live in a dict keyed by (a_exp, z_exp).  Instances are
-    treated as immutable; all arithmetic returns new objects.
+    Built from a ``{(a_exp, z_exp): coeff}`` mapping, zero coefficients
+    dropped, and kept as such a dict.  Instances are treated as
+    immutable; all arithmetic returns new objects.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data: dict[tuple[int, int], int] = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for key, coeff in items:
-                ae, ze = key
-                if coeff:
-                    k = (ae, ze)
-                    c = data.get(k, 0) + coeff
-                    if c:
-                        data[k] = c
-                    elif k in data:
-                        del data[k]
-        self._terms = data
+        self._terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
     def monomial(cls, coeff: int, a_exp: int = 0, z_exp: int = 0) -> "LaurentPoly2":
         return cls({(a_exp, z_exp): coeff})
-
-    @classmethod
-    def from_triples(cls, triples) -> "LaurentPoly2":
-        """Rebuild from [a_exp, z_exp, coeff] rows as emitted by terms()."""
-        return cls(((int(a), int(z)), int(c)) for a, z, c in triples)
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Sorted [(a_exp, z_exp, coeff)], ordered by z then a exponent."""
         out = [(a, z, c) for (a, z), c in self._terms.items()]
         out.sort(key=lambda t: (t[1], t[0]))
         return out
-
-    def coeff(self, a_exp: int, z_exp: int) -> int:
-        return self._terms.get((a_exp, z_exp), 0)
 
     def z_row(self, z_exp: int) -> dict[int, int]:
         """Coefficients of one z power, keyed by a exponent."""
@@ -448,7 +429,7 @@ def _open_state(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
     """
     if code.crossings > MAX_CODE_CROSSINGS:
         raise CodeBudgetError(
-            f"codes stop at {MAX_CODE_CROSSINGS} crossings, got {code.crossings}"
+            f"codes stop at {MAX_CODE_CROSSINGS} crossings, got {_shown(code.crossings)}"
         )
     axes = crossing_axes(code)
     vec = (_ONE, _ZERO, _ZERO) if axes[0] else (_ZERO, _ZERO, _ONE)

@@ -14,10 +14,25 @@ follow it crossing by crossing.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, safe on ints too long to print.
+
+    An int of more than ``sys.get_int_max_str_digits()`` digits, alone
+    or in a tuple, is shown by its bit length and never turned into text.
+    """
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_shown, value)) + ("," if len(value) == 1 else "") + ")"
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if isinstance(value, int) and limit and abs(value) >= 10**limit:
+        return f"<{value.bit_length()}-bit int>"
+    return repr(value)
 
 
 class NotationError(ValueError):
@@ -55,12 +70,12 @@ class ConwayCode:
             raise EmptyInputError("a Conway code needs at least one entry")
         for e in self.entries:
             if not isinstance(e, int) or isinstance(e, bool):
-                raise NonNumericTokenError(f"entry {e!r} is not an integer")
+                raise NonNumericTokenError(f"entry {_shown(e)} is not an integer")
             if e < 1:
-                raise NonPositiveEntryError(f"twist counts must be positive, got {e}")
+                raise NonPositiveEntryError(f"twist counts must be positive, got {_shown(e)}")
         if self.entries[0] < 2 or self.entries[-1] < 2:
             raise EndEntryTooSmallError(
-                "end sites need at least two crossings: %s" % (self.entries,)
+                f"end sites need at least two crossings: {_shown(self.entries)}"
             )
 
     @property

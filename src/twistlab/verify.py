@@ -28,7 +28,14 @@ from .kauffman import (
     lambda_poly,
     truncate,
 )
-from .notation import ConwayCode, NotationError, enumerate_standard, minimal_code, predicted_u
+from .notation import (
+    ConwayCode,
+    NotationError,
+    _shown,
+    enumerate_standard,
+    minimal_code,
+    predicted_u,
+)
 
 TOP_HEAVY = "top_heavy"
 BOTTOM_HEAVY = "bottom_heavy"
@@ -211,7 +218,7 @@ def sweep(max_crossings: int) -> list[VerificationReport]:
         raise NotationError("standard-format codes need at least two crossings")
     if max_crossings > MAX_SWEEP_CROSSINGS:
         raise NotationError(
-            f"sweeps stop at {MAX_SWEEP_CROSSINGS} crossings, got {max_crossings}"
+            f"sweeps stop at {MAX_SWEEP_CROSSINGS} crossings, got {_shown(max_crossings)}"
         )
     return [
         verify_code(code)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from twistlab.cli import main
-from twistlab.kauffman import LaurentPoly2, lambda_poly
+from twistlab.kauffman import lambda_poly
 from twistlab.diagram import build_standard, connected_sum, mirror, to_pd
 from twistlab.notation import parse_conway
 
@@ -31,7 +31,7 @@ def test_compute_json_round_trips(capsys):
     assert payload["u"] == [2, 5, 3]
     assert payload["fraction"] == [21, 8]
     direct = lambda_poly(build_standard(parse_conway("2 1 1 1 2")))
-    assert LaurentPoly2.from_triples(payload["lambda"]) == direct
+    assert payload["lambda"] == [list(t) for t in direct.terms()]
 
 
 def test_compute_accepts_commas(capsys):
@@ -127,6 +127,17 @@ def test_non_ascii_or_underscored_counts_exit_two(capsys, token):
 )
 def test_bad_pd_record_exits_two(tmp_path, capsys, pd):
     target = tmp_path / "bad.jsonl"
+    target.write_text(json.dumps({"name": "x", "pd": pd}) + "\n", encoding="utf-8")
+    assert main(["pd", "--file", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_pd_code_given_as_json_text_exits_two(tmp_path, capsys):
+    # the pd value must be the code itself, not a string that encodes it
+    target = tmp_path / "text.jsonl"
+    pd = json.dumps(to_pd(build_standard(parse_conway("3"))))
     target.write_text(json.dumps({"name": "x", "pd": pd}) + "\n", encoding="utf-8")
     assert main(["pd", "--file", str(target)]) == 2
     captured = capsys.readouterr()
@@ -234,6 +245,26 @@ def test_verify_flag_misuse_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (["--help"], ["compute", "verify", "mirror", "sum", "pd"]),
+        (["compute", "--help"], ["code", "--json"]),
+        (["verify", "--help"], ["code", "--enumerate", "--max-crossings", "--json"]),
+        (["mirror", "--help"], ["code", "--json"]),
+        (["sum", "--help"], ["code1", "code2", "--json"]),
+        (["pd", "--help"], ["--file", "--expect", "u_minus,u_zero,u_plus", "--json"]),
+    ],
+)
+def test_help_lists_the_options(capsys, argv, options):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: twistlab")
+    assert all(opt in out for opt in options), out
 
 
 def test_unknown_command_exits_two():

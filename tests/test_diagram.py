@@ -384,12 +384,23 @@ def test_one_excision_equals_successive_smoothings():
 
 
 def test_internal_diagrams_are_valid_matchings():
-    # the engine's builders skip validation, so the public constructor
-    # must accept everything they make
+    # the engine's builders, parse_pd and connected_sum skip validation,
+    # so the public constructor must accept everything they make
     rng = random.Random(37)
     modes = (diagram._SMOOTH_PAIRS[ZERO], diagram._SMOOTH_PAIRS[INFINITY], diagram._STRAIGHT)
-    for d in random_diagrams(60, seed=41):
-        made = [mirror(d), remove_curls(d)[0]]
+    pool = random_diagrams(60, seed=41)
+    for d in pool:
+        perm = list(range(d.crossings))
+        rng.shuffle(perm)
+        pd = to_pd(mirror(relabel(d, perm, [rng.choice([0, 2]) for _ in perm])))
+        labels = sorted({x for row in pd for x in row})
+        fresh = [7 * x for x in labels] + [f"a{x}" for x in labels]
+        names = dict(zip(labels, rng.sample(fresh, len(labels))))
+        parsed = parse_pd([[names[x] for x in row] for row in pd])
+        assert (parsed.crossings, parsed.free_loops) == (d.crossings, 0)
+        other = rng.choice(pool + [unlink(1), unlink(2)])
+        made = [mirror(d), remove_curls(d)[0], parsed, connected_sum(d, other),
+                connected_sum(other, d)]
         for c in range(d.crossings):
             made += [smooth(d, c, ZERO), smooth(d, c, INFINITY), switch(d, c)]
         chosen = rng.sample(range(d.crossings), rng.randrange(1, d.crossings + 1))
@@ -541,11 +552,6 @@ def test_pd_labels_appear_twice():
     assert all(flat.count(x) == 2 for x in set(flat))
 
 
-def test_parse_pd_accepts_json_text():
-    text = json.dumps(to_pd(_build("3")))
-    assert parse_pd(text) == _build("3")
-
-
 def test_parse_pd_errors():
     with pytest.raises(BadArityError):
         parse_pd([[1, 2, 3]])
@@ -553,12 +559,15 @@ def test_parse_pd_errors():
         parse_pd([[1, 2, 3, 4], [4, 3, 2, 5]])
     with pytest.raises(LabelCountMismatchError):
         parse_pd([[1, 1, 2, 2], [2, 3, 3, 1]])
-    for bad in (5, [5], [[[1], 2, 3, 4], [4, 3, 2, [1]]], [[True, 2, 3, 4], [4, 3, 2, 1]]):
+    text = json.dumps(to_pd(_build("3")))  # decoding is the caller's job
+    for bad in (5, [5], [[[1], 2, 3, 4], [4, 3, 2, [1]]], [[True, 2, 3, 4], [4, 3, 2, 1]], text):
         with pytest.raises(PDTypeError):
             parse_pd(bad)
     with pytest.raises(NonPlanarError):
         parse_pd([[1, 2, 3, 4], [1, 3, 2, 4]])
 
+
+# parse_pd takes a decoded code and refuses text, whatever it would decode to
 
 def test_parse_pd_rejects_text_that_is_not_json():
     with pytest.raises(PDTypeError):
@@ -566,15 +575,36 @@ def test_parse_pd_rejects_text_that_is_not_json():
 
 
 def test_parse_pd_rejects_text_nested_too_deeply():
-    # json.loads raises RecursionError here, which is not a DiagramError
     with pytest.raises(PDTypeError):
         parse_pd("[" * 100000)
 
 
 def test_parse_pd_rejects_labels_too_long_for_int():
-    # json.loads raises a plain ValueError past 4300 digits
     with pytest.raises(PDTypeError):
         parse_pd("[[" + "1" * 5000 + ", 2, 3, 4]]")
+
+
+HUGE = 10**5000  # past Python's 4300-digit limit for turning an int into text
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: parse_pd([[HUGE, 2, 3, 4]]), DanglingLabelError),
+        (lambda: parse_pd([[HUGE, HUGE, HUGE, 4]]), LabelCountMismatchError),
+        (lambda: LinkDiagram((HUGE, 0, 3, 2)), DiagramError),
+        (lambda: smooth(_build("3"), HUGE, ZERO), UnknownCrossingError),
+        (lambda: smooth(_build("3"), 0, HUGE), DiagramError),
+        (lambda: switch(_build("3"), -HUGE), UnknownCrossingError),
+        (lambda: diagram_from_arcs(1, [((HUGE, 0), (0, 1))]), DiagramError),
+    ],
+    ids=["dangling_label", "label_count", "matching", "smooth_crossing", "smooth_mode",
+         "switch_crossing", "arc_endpoint"],
+)
+def test_error_messages_show_ints_too_long_to_print(make, error):
+    # an f-string of such an int raises a plain ValueError of its own
+    with pytest.raises(error, match="-bit int>"):
+        make()
 
 
 def test_parse_pd_accepts_split_and_summed_diagrams():

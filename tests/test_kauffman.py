@@ -44,8 +44,8 @@ def _build(text):
     return build_standard(parse_conway(text))
 
 
-def _poly(pairs):
-    return LaurentPoly2(pairs)
+def _poly(terms):
+    return LaurentPoly2(terms)
 
 
 def _scramble(d, rng):
@@ -128,7 +128,7 @@ def test_terms_are_sorted_and_round_trip():
     p = _poly({(1, -1): -1, (-1, -1): -1, (0, 0): 1, (1, 1): 1, (-1, 1): 1})
     ts = p.terms()
     assert ts == sorted(ts, key=lambda t: (t[1], t[0]))
-    assert LaurentPoly2.from_triples(ts) == p
+    assert LaurentPoly2({(a, z): c for a, z, c in ts}) == p
 
 
 def test_zero_coefficients_vanish():

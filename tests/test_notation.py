@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from twistlab.notation import (
     HopfBaseError,
     NonNumericTokenError,
     NonPositiveEntryError,
+    _shown,
     continued_fraction,
     crossing_axes,
     enumerate_standard,
@@ -57,6 +59,30 @@ def test_numbers_too_long_for_int_are_notation_errors():
     # int() refuses more than 4300 digits with a plain ValueError
     with pytest.raises(NonNumericTokenError):
         parse_conway("1" * 5000)
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ((-(10**5000),), NonPositiveEntryError),
+        ((1, 10**5000), EndEntryTooSmallError),
+        ((2, (10**5000,), 2), NonNumericTokenError),
+    ],
+    ids=["negative", "end_entry", "not_an_int"],
+)
+def test_code_errors_show_ints_too_long_to_print(entries, error):
+    # an f-string of an int past 4300 digits raises a plain ValueError
+    with pytest.raises(error, match="-bit int>"):
+        ConwayCode(entries)
+
+
+def test_shown_prints_every_int_python_can_print():
+    limit = sys.get_int_max_str_digits()
+    assert _shown(10**limit - 1) == "9" * limit
+    bits = (10**limit).bit_length()
+    assert _shown(-(10**limit)) == f"<{bits}-bit int>"
+    assert _shown((1, 10**limit, "x")) == f"(1, <{bits}-bit int>, 'x')"
+    assert _shown((3,)) == "(3,)" and _shown(True) == "True"
 
 
 def test_end_entries_need_two_crossings():

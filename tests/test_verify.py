@@ -306,6 +306,17 @@ def test_sweep_rejects_too_few_crossings():
             sweep(n)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: verify_code(ConwayCode((10**5000,))), lambda: sweep(10**5000)],
+    ids=["code_budget", "sweep_budget"],
+)
+def test_budget_errors_show_ints_too_long_to_print(make):
+    # an f-string of an int past 4300 digits raises a plain ValueError
+    with pytest.raises(NotationError, match="-bit int>"):
+        make()
+
+
 def test_sweep_passes_and_reports():
     reports = sweep(7)
     assert len(reports) == sum(
