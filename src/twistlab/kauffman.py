@@ -89,10 +89,10 @@ and, with the budget lifted, at most 10 ms at 15 and 16; the build of
 few twist bigons still cost time exponential in crossings, so the
 budget stays.  Larger diagrams raise
 SkeinBudgetError.  The transfer walk takes at most MAX_CODE_CROSSINGS =
-200 crossings: the polynomials grow with the code, so verify_code
-takes 0.43 s on 2 1x96 2 (100 crossings) and 3.1 s on 2 1x196 2 (200),
-medians of five calls on 2 vCPUs with Python 3.11, about x7 for twice
-the crossings.  Larger codes raise CodeBudgetError.
+200 crossings: the polynomials grow with the code, so verify_code takes
+0.24-0.32 s on 2 1x96 2 (100 crossings) and 1.8-2.2 s on 2 1x196 2 (200),
+medians of five calls in two runs on a 2-vCPU Xeon VM with Python 3.11.7,
+about x6-x9 for twice the crossings.  Larger codes raise CodeBudgetError.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")
@@ -59,13 +58,13 @@ class HopfBaseError(NotationError):
     """The two-crossing clasp has no smaller standard representative."""
 
 
-@dataclass(frozen=True)
 class ConwayCode:
-    """A validated twist-count sequence."""
+    """A validated twist-count sequence, immutable and hashable by value."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
         if not self.entries:
             raise EmptyInputError("a Conway code needs at least one entry")
         for e in self.entries:
@@ -77,6 +76,25 @@ class ConwayCode:
             raise EndEntryTooSmallError(
                 f"end sites need at least two crossings: {_shown(self.entries)}"
             )
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (ConwayCode, (self.entries,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"ConwayCode(entries={self.entries!r})"
 
     @property
     def sites(self) -> int:

@@ -17,8 +17,6 @@ skein engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagram import LinkDiagram, build_standard, connected_sum, mirror
 from .kauffman import (
     LaurentPoly2,
@@ -44,16 +42,24 @@ BALANCED = "balanced"
 MAX_SWEEP_CROSSINGS = 16
 
 
-@dataclass
 class VerificationReport:
-    input: str
-    crossings: int
-    sites: int | None = None
-    computed_u: tuple[int, int, int] | None = None
-    predicted: tuple[int, int, int] | None = None
-    checks: dict[str, bool] = field(default_factory=dict)
-    polynomial: LaurentPoly2 | None = None  # the diagram's Lambda; not serialized
-    failure: str | None = None  # why a check failed; not serialized
+    def __init__(
+        self,
+        input: str,
+        crossings: int,
+        sites: int | None = None,
+        computed_u: tuple[int, int, int] | None = None,
+        predicted: tuple[int, int, int] | None = None,
+        polynomial: LaurentPoly2 | None = None,
+    ) -> None:
+        self.input = input
+        self.crossings = crossings
+        self.sites = sites
+        self.computed_u = computed_u
+        self.predicted = predicted
+        self.checks: dict[str, bool] = {}
+        self.polynomial = polynomial  # the diagram's Lambda; not serialized
+        self.failure: str | None = None  # why a check failed; not serialized
 
     @property
     def overall(self) -> bool:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,6 +19,7 @@ from twistlab.notation import parse_conway
 from helpers import DATA, skein_calls
 
 FIXTURES = str(DATA / "links.jsonl")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_compute_human(capsys):
@@ -314,3 +319,18 @@ def test_work_over_budget_is_refused_at_once(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_import_leaves_out_the_heavy_stdlib_modules():
+    # every CLI call is one short process, so what import loads is paid per call;
+    # dataclasses alone pulls in inspect, which pulls in ast, dis and tokenize
+    script = (
+        "import sys; before = set(sys.modules); import twistlab, twistlab.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "twistlab.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)

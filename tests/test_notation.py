@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
@@ -96,6 +98,22 @@ def test_constructor_validates_like_parser():
         ConwayCode((2, 0, 2))
     with pytest.raises(NonNumericTokenError):
         ConwayCode((2, 1.5, 2))
+
+
+def test_codes_are_immutable_values():
+    code = ConwayCode(entries=(2, 1, 2))
+    assert code == parse_conway("2 1 2") and code != parse_conway("2 2")
+    assert code != (2, 1, 2)
+    assert hash(code) == hash(parse_conway("2 1 2")) == hash(((2, 1, 2),))
+    assert {code: "x"}[parse_conway("2 1 2")] == "x"
+    assert len({code, parse_conway("2 1 2"), parse_conway("3")}) == 2
+    assert repr(code) == "ConwayCode(entries=(2, 1, 2))"
+    assert copy.copy(code) == code == pickle.loads(pickle.dumps(code))
+    with pytest.raises(AttributeError):
+        code.entries = (3,)
+    with pytest.raises(AttributeError):
+        del code.entries
+    assert code.entries == (2, 1, 2)
 
 
 def test_crossing_axes_alternate_by_site_and_end_horizontal():

@@ -20,6 +20,7 @@ from twistlab.verify import (
     BALANCED,
     BOTTOM_HEAVY,
     TOP_HEAVY,
+    VerificationReport,
     amphicheiral_obstruction,
     check_diagram,
     chirality_class,
@@ -120,6 +121,17 @@ def test_connected_sum_report():
     assert rep.overall and rep.crossings == 6
     trefoil = build_standard(_code("3"))
     assert rep.polynomial == lambda_poly(connected_sum(trefoil, trefoil))
+
+
+def test_reports_start_empty_and_own_their_checks():
+    rep = VerificationReport(input="x", crossings=3)
+    assert (rep.input, rep.crossings) == ("x", 3)
+    assert rep.sites is rep.computed_u is rep.predicted is rep.polynomial is rep.failure is None
+    assert rep.checks == {} and rep.overall
+    other = VerificationReport(input="y", crossings=4, sites=2, computed_u=(1, 2, 1))
+    rep.checks["a"] = False
+    assert other.checks == {} and other.overall and not rep.overall
+    assert other.as_dict()["computed_u"] == [1, 2, 1] and other.sites == 2
 
 
 def test_chirality_classes():
