@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 
 from .diagram import DiagramError, parse_pd
@@ -164,14 +165,22 @@ def cmd_pd(args):
 
 
 def main(argv=None) -> int:
+    # argparse makes a formatter for every argument it adds, and each
+    # would look up the terminal size; look it up once, as argparse does
+    width = shutil.get_terminal_size().columns - 2
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=width)
+
     ap = argparse.ArgumentParser(
         prog="twistlab",
         description="Kauffman polynomials and twist-site checks for rational links",
+        formatter_class=formatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, formatter_class=formatter)
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=fn)
         return p

@@ -59,12 +59,15 @@ class HopfBaseError(NotationError):
 
 
 class ConwayCode:
-    """A validated twist-count sequence, immutable and hashable by value."""
+    """A validated twist-count sequence, immutable and hashable by value.
+
+    Entries may come as any sequence of ints; they are kept as a tuple.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(entries))
         if not self.entries:
             raise EmptyInputError("a Conway code needs at least one entry")
         for e in self.entries:

@@ -10,9 +10,9 @@ instead of evaluating it again.  Nothing here ever adjusts a computed
 value to match a prediction; a failed check stays failed in the report.
 
 Checks on a code evaluate its standard build once with the
-transfer-matrix engine (``lambda_code``); only diagrams that are not a
-standard build, such as mirrors, connected sums and PD input, go to the
-skein engine.
+transfer-matrix engine (``lambda_code``, or ``lambda_code_and_smoothings``
+in verify_code); only diagrams that are not a standard build, such as
+mirrors, connected sums and PD input, go to the skein engine.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .kauffman import (
     LaurentPoly2,
     TopDegreeMismatchError,
     lambda_code,
-    lambda_code_smoothings,
+    lambda_code_and_smoothings,
     lambda_poly,
     truncate,
 )
@@ -175,7 +175,11 @@ def verify_mirror(code: ConwayCode) -> VerificationReport:
 
 
 def verify_code(code: ConwayCode) -> VerificationReport:
-    """Run every check that applies to one code on one evaluation of it.
+    """Run every check that applies to one code on one walk of its build.
+
+    One transfer walk (``lambda_code_and_smoothings``) gives Lambda and
+    both smoothings of the last crossing; only reduction_match walks a
+    second code, the minimal one, and only when it differs from the code.
 
     degree_bounds, theorem_match and chirality compare the truncated
     Lambda with the site-count prediction.  reduction_match (all but
@@ -190,7 +194,7 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     both smoothings at that crossing.
     """
     c = code.crossings
-    p = lambda_code(code)
+    p, zero, infinity = lambda_code_and_smoothings(code)
     u = truncate(p, c)
     expect = predicted_u(code)
     rep = VerificationReport(
@@ -207,7 +211,6 @@ def verify_code(code: ConwayCode) -> VerificationReport:
             lambda_code(small), small.crossings
         )
     if c >= 3:
-        zero, infinity = lambda_code_smoothings(code)
         rhs = (zero + infinity) * LaurentPoly2.monomial(1, 0, 1)
         rows = (c - 1, c - 2)
         rep.checks["skein_truncated"] = all(p.z_row(r) == rhs.z_row(r) for r in rows)

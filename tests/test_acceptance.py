@@ -27,7 +27,7 @@ from twistlab.diagram import (
 from twistlab.kauffman import (
     LaurentPoly2,
     lambda_code,
-    lambda_code_smoothings,
+    lambda_code_and_smoothings,
     lambda_poly,
     truncate,
 )
@@ -214,7 +214,8 @@ def test_criterion_11_transfer_matrices_agree_with_the_skein_engine():
     for c in range(3, 10):
         for code in enumerate_standard(c):
             d = build_standard(code)
-            want = tuple(lambda_poly(smooth(d, c - 1, mode), _CACHE) for mode in (ZERO, INFINITY))
-            ok = ok and lambda_code_smoothings(code) == want
+            smoothed = [smooth(d, c - 1, mode) for mode in (ZERO, INFINITY)]
+            want = tuple(lambda_poly(e, _CACHE) for e in [d, *smoothed])
+            ok = ok and lambda_code_and_smoothings(code) == want
             n_smoothed += 1
     _report(f"11 engine-agreement ({len(codes)} codes, {n_smoothed} smoothed)", ok)

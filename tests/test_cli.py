@@ -272,6 +272,19 @@ def test_help_lists_the_options(capsys, argv, options):
     assert all(opt in out for opt in options), out
 
 
+def test_help_is_wrapped_to_the_width_of_each_call(monkeypatch, capsys):
+    # the terminal width is read once per call, never kept between calls
+    def help_lines(columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            main(["pd", "--help"])
+        return capsys.readouterr().out.splitlines()
+
+    narrow, wide = help_lines(40), help_lines(200)
+    assert max(map(len, narrow)) <= 38
+    assert len(wide) < len(narrow)
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -114,6 +114,9 @@ def test_codes_are_immutable_values():
     with pytest.raises(AttributeError):
         del code.entries
     assert code.entries == (2, 1, 2)
+    # entries given as a list are kept as a tuple
+    listed = ConwayCode([2, 1, 2])
+    assert listed.entries == (2, 1, 2) and listed == code and hash(listed) == hash(code)
 
 
 def test_crossing_axes_alternate_by_site_and_end_horizontal():

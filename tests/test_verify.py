@@ -230,9 +230,9 @@ def test_verify_code_never_enters_the_skein_engine(monkeypatch):
     assert resolved == []
 
 
-def test_verify_code_makes_at_most_three_walks(monkeypatch):
-    # one walk for the code, one for its smoothings, one for its minimal
-    # code unless the code is its own minimal code
+def test_verify_code_walks_a_code_once_and_its_minimal_code_once(monkeypatch):
+    # one walk gives the code's Lambda and both smoothings; the minimal
+    # code takes a second walk unless the code is its own minimal code
     walks = []
     real = kauffman._open_state
 
@@ -241,16 +241,10 @@ def test_verify_code_makes_at_most_three_walks(monkeypatch):
         return real(code)
 
     monkeypatch.setattr(kauffman, "_open_state", counting)
-    for text in ("3", "2 2", "2 1 1 2"):
+    for text, count in (("2", 1), ("3", 1), ("2 2", 1), ("2 1 1 2", 1), ("4 3", 2)):
         walks.clear()
         verify_code(_code(text))
-        assert len(walks) == 2, (text, walks)
-    walks.clear()
-    verify_code(_code("4 3"))
-    assert len(walks) <= 3, walks
-    walks.clear()
-    verify_code(_code("2"))
-    assert len(walks) == 1
+        assert len(walks) == count, (text, walks)
 
 
 def _wrong_prediction(monkeypatch):
@@ -258,13 +252,13 @@ def _wrong_prediction(monkeypatch):
 
 
 def _wrong_smoothings(monkeypatch):
-    real = verify.lambda_code_smoothings
+    real = verify.lambda_code_and_smoothings
 
     def wrong(code):
-        zero, infinity = real(code)
-        return zero, infinity + LaurentPoly2.monomial(1, 0, code.crossings - 3)
+        p, zero, infinity = real(code)
+        return p, zero, infinity + LaurentPoly2.monomial(1, 0, code.crossings - 3)
 
-    monkeypatch.setattr(verify, "lambda_code_smoothings", wrong)
+    monkeypatch.setattr(verify, "lambda_code_and_smoothings", wrong)
 
 
 def _wrong_minimal_polynomial(monkeypatch):
