@@ -223,7 +223,3 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -77,7 +77,7 @@ class LinkDiagram:
     checks and is for results built inside the package only.
     """
 
-    __slots__ = ("mate", "free_loops", "_canon")
+    __slots__ = ("mate", "free_loops")
 
     def __init__(self, mate, free_loops=0):
         mate = tuple(mate)
@@ -94,7 +94,6 @@ class LinkDiagram:
             raise DiagramError("free loop count cannot be negative")
         self.mate = mate
         self.free_loops = free_loops
-        self._canon = None
 
     @classmethod
     def _trusted(cls, mate: tuple, free_loops: int) -> LinkDiagram:
@@ -102,7 +101,6 @@ class LinkDiagram:
         d = object.__new__(cls)
         d.mate = mate
         d.free_loops = free_loops
-        d._canon = None
         return d
 
     @property
@@ -534,11 +532,20 @@ def canonical_key(d: LinkDiagram) -> tuple:
     half-turn slot relabel.  The key is the tuple ``(crossings,
     free_loops, component_keys)``: the smallest ``_bfs_serial`` of each
     crossing component over every start crossing and start rotation,
-    sorted.  It is computed once per diagram and kept.
+    sorted.
     """
-    if d._canon is None:
-        d._canon = _compute_key(d)
-    return d._canon
+    mate = d.mate
+    comp_keys = []
+    for comp in _crossing_groups(mate):
+        best = None
+        for start in comp:
+            for rot0 in (0, 2):
+                cand = _bfs_serial(mate, start, rot0, best)
+                if cand is not None:
+                    best = cand
+        comp_keys.append(best)
+    comp_keys.sort()
+    return (d.crossings, d.free_loops, tuple(comp_keys))
 
 
 def _crossing_groups(mate) -> list[list[int]]:
@@ -564,21 +571,6 @@ def _crossing_groups(mate) -> list[list[int]]:
         comp.sort()
         groups.append(comp)
     return groups
-
-
-def _compute_key(d: LinkDiagram) -> tuple:
-    mate = d.mate
-    comp_keys = []
-    for comp in _crossing_groups(mate):
-        best = None
-        for start in comp:
-            for rot0 in (0, 2):
-                cand = _bfs_serial(mate, start, rot0, best)
-                if cand is not None:
-                    best = cand
-        comp_keys.append(best)
-    comp_keys.sort()
-    return (d.crossings, d.free_loops, tuple(comp_keys))
 
 
 def _bfs_serial(mate, start: int, rot0: int, best) -> tuple | None:

@@ -45,10 +45,11 @@ next step starts from it; a k-crossing twist costs one memo miss.
 
 A diagram with no twist bigon is walked instead: the engine switches
 each crossing first met on its under strand, accumulating the skein
-relation; the fully switched diagram is descending, so it is a power
-of a times a power of the unlink value delta.  Every switch branches
-the recursion, and any base points and component order leave a
-descending diagram, so the walk is chosen to switch few crossings:
+relation on a running diagram that keeps every switch made so far;
+the fully switched diagram is descending, so it is a to its
+``self_writhe`` times a power of the unlink value delta.  Every switch
+branches the recursion, and any base points and component order leave
+a descending diagram, so the walk is chosen to switch few crossings:
 each component starts at the base point and direction that meet the
 fewest of its self-crossings under-first (Shimizu, "The warping degree
 of a knot diagram", J. Knot Theory Ramifications 19, 2010), and the
@@ -114,6 +115,7 @@ from .diagram import (
     _traversal_entries,
     canonical_key,
     remove_curls,
+    self_writhe,
     smooth,
     twist_region,
 )
@@ -276,7 +278,6 @@ def _term_str(a_exp: int, z_exp: int, coeff: int) -> str:
 
 _ZERO = LaurentPoly2()
 _ONE = LaurentPoly2.monomial(1)
-_Z = LaurentPoly2.monomial(1, 0, 1)
 
 
 def delta_unlink() -> LaurentPoly2:
@@ -359,16 +360,15 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     of its self-crossings under-first, the components in a greedy order
     that passes under few later ones.  Following it, a crossing first met on
     its under strand blocks descent, so it gets switched; the skein
-    relation turns the switch into the two smoothings of the current
-    partially switched diagram, and the recursion continues along the
-    walk.  The walk is computed once, on the unswitched diagram, and
-    followed to its end; it is not recomputed after a switch, which
-    renumbers endpoints and could reorder it.  What remains after the
-    walk is descending: each component lies entirely over the later
-    ones and descends along itself, so its value is a to the
-    self-writhe times delta to the components minus one.  The component
-    count and the sign of each self-crossing, met twice by one walk,
-    are read off the same walk.
+    relation turns the switch into the two smoothings of the running
+    diagram, which is d with every earlier switch made; the crossing is
+    then switched in the running diagram, and the walk goes on.
+    The walk is computed once, on the unswitched diagram, and followed
+    to its end; it is not recomputed after a switch, which renumbers
+    endpoints and could reorder it.  What remains after the walk is
+    descending: each component lies entirely over the later ones and
+    descends along itself, so its value is a to the ``self_writhe`` of
+    the running diagram times delta to the components minus one.
     """
     walks = _traversal_entries(d)
     region = twist_region(d)
@@ -378,29 +378,22 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
         return p * _lambda(d1, cache) + q * _lambda(d0, cache) + r * _lambda(dc, cache)
     acc = _ZERO
     sign = 1
-    switched: list[int] = []
-    first: dict[int, tuple[int, int]] = {}  # crossing -> (walk, entry) first met
-    writhe = 0  # self-writhe of the fully switched diagram
-    for w, entries in enumerate(walks):
-        for e in entries:
-            c = e >> 2
-            met = first.get(c)
-            if met is not None:
-                if met[0] == w:  # a self-crossing; see diagram._self_crossing_signs
-                    s = 1 if (e ^ met[1]) & 2 else -1
-                    writhe += s if met[1] & 1 else -s  # first met under: switched
-                continue
-            first[c] = (w, e)
-            if (e & 1) == 0:  # first met going under
-                base = _rotate_crossings(d, switched) if switched else d
-                branch = _lambda(smooth(base, c, ZERO), cache) + _lambda(
-                    smooth(base, c, INFINITY), cache
-                )
-                branch = branch * _Z
-                acc = acc + branch if sign > 0 else acc - branch
-                switched.append(c)
-                sign = -sign
-    tail = _delta_power(len(walks) + d.free_loops - 1).shift(a_exp=writhe)
+    base = d  # d with every crossing switched so far
+    met: set[int] = set()
+    for e in (e for entries in walks for e in entries):
+        c = e >> 2
+        if c in met:
+            continue
+        met.add(c)
+        if (e & 1) == 0:  # first met going under
+            branch = _lambda(smooth(base, c, ZERO), cache) + _lambda(
+                smooth(base, c, INFINITY), cache
+            )
+            branch = branch.shift(z_exp=1)
+            acc = acc + branch if sign > 0 else acc - branch
+            base = _rotate_crossings(base, (c,))
+            sign = -sign
+    tail = _delta_power(len(walks) + d.free_loops - 1).shift(a_exp=self_writhe(base))
     return acc + tail if sign > 0 else acc - tail
 
 

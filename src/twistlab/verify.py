@@ -113,10 +113,6 @@ def amphicheiral_obstruction(code: ConwayCode) -> str:
     return "obstructed"
 
 
-def _degree_ok(p: LaurentPoly2, crossings: int) -> bool:
-    return p.max_weight() <= crossings and p.max_z() == crossings - 1
-
-
 def verify_connected_sum(code1: ConwayCode, code2: ConwayCode) -> VerificationReport:
     """Check multiplicativity and the degree deficit of a connected sum."""
     p1, p2 = lambda_code(code1), lambda_code(code2)
@@ -152,7 +148,7 @@ def check_diagram(
         rep.failure = str(exc)
         return rep
     rep.computed_u = u
-    rep.checks["degree_bounds"] = _degree_ok(p, d.crossings)
+    rep.checks["degree_bounds"] = p.max_weight() <= d.crossings
     rep.checks["top_pair"] = True
     if expected is not None:
         rep.checks["expected_match"] = u == tuple(expected)
@@ -181,17 +177,19 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     both smoothings of the last crossing; only reduction_match walks a
     second code, the minimal one, and only when it differs from the code.
 
-    degree_bounds, theorem_match and chirality compare the truncated
-    Lambda with the site-count prediction.  reduction_match (all but
-    the clasp) checks that extra crossings only shift the truncated
-    polynomial: the code and the minimal code with the same number of
-    sites share their five leading coefficients, each read at its own
-    top degree; a code that is its own minimal code is not walked
-    again, and passes.  skein_truncated (three or more crossings)
-    checks the one-sided skein shape of the two top rows: switching the
-    last crossing of an alternating standard build drops the z-degree
-    by at least three, so there Lambda must equal z times the sum over
-    both smoothings at that crossing.
+    degree_bounds checks that every term has z_exp + |a_exp| at most c;
+    that the z-degree is c - 1 is already proved by ``truncate``.
+    theorem_match and chirality compare the truncated Lambda with the
+    site-count prediction.  reduction_match (all but the clasp) checks
+    that extra crossings only shift the truncated polynomial: the code
+    and the minimal code with the same number of sites share their five
+    leading coefficients, each read at its own top degree; a code that
+    is its own minimal code is not walked again, and passes.
+    skein_truncated (three or more crossings) checks the one-sided
+    skein shape of the two top rows: switching the last crossing of an
+    alternating standard build drops the z-degree by at least three, so
+    there Lambda must equal z times the sum over both smoothings at
+    that crossing.
     """
     c = code.crossings
     p, zero, infinity = lambda_code_and_smoothings(code)
@@ -200,7 +198,7 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     rep = VerificationReport(
         input=str(code), crossings=c, sites=code.sites, computed_u=u, predicted=expect
     )
-    rep.checks["degree_bounds"] = _degree_ok(p, c)
+    rep.checks["degree_bounds"] = p.max_weight() <= c
     rep.checks["theorem_match"] = u == expect
     rep.checks["chirality"] = (chirality_class(u) == BALANCED) == (
         chirality_class(expect) == BALANCED
@@ -211,7 +209,7 @@ def verify_code(code: ConwayCode) -> VerificationReport:
             lambda_code(small), small.crossings
         )
     if c >= 3:
-        rhs = (zero + infinity) * LaurentPoly2.monomial(1, 0, 1)
+        rhs = (zero + infinity).shift(z_exp=1)
         rows = (c - 1, c - 2)
         rep.checks["skein_truncated"] = all(p.z_row(r) == rhs.z_row(r) for r in rows)
     return rep

@@ -11,8 +11,9 @@ import time
 
 import pytest
 
+from twistlab import cli
 from twistlab.cli import main
-from twistlab.kauffman import lambda_poly
+from twistlab.kauffman import LaurentPoly2, lambda_poly
 from twistlab.diagram import build_standard, connected_sum, mirror, to_pd
 from twistlab.notation import parse_conway
 
@@ -243,6 +244,7 @@ def test_enumerate_needs_two_crossings(capsys, n):
         ["verify", "--enumerate", "--max-crossings", "3", "4", "3"],
         ["verify", "3", "--max-crossings", "5"],
         ["verify", "--enumerate", "--max-crossings", "17"],
+        ["verify", "--enumerate"],
     ],
 )
 def test_verify_flag_misuse_exits_two(capsys, argv):
@@ -347,3 +349,22 @@ def test_import_leaves_out_the_heavy_stdlib_modules():
     ).stdout.split()
     assert "twistlab.cli" in loaded
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+
+
+def test_a_top_row_of_the_wrong_shape_exits_one(monkeypatch, capsys):
+    # truncate refuses the polynomial; main reports it as a failed check
+    monkeypatch.setattr(cli, "lambda_code", lambda code: LaurentPoly2.monomial(1))
+    assert main(["compute", "2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("check failed: ") and captured.err.count("\n") == 1
+
+
+def test_python_dash_m_runs_main(capsys):
+    argv = ["verify", "2", "1", "2", "--json"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-m", "twistlab", *argv], env=env, capture_output=True, text=True
+    )
+    assert main(argv) == 0
+    assert (run.returncode, run.stdout) == (0, capsys.readouterr().out)

@@ -179,6 +179,11 @@ def test_unlink_and_validation():
         diagram_from_arcs(1, [((0, 0), (0, 1)), ((0, 1), (0, 2))])
 
 
+def test_arcs_must_fill_every_slot():
+    with pytest.raises(DiagramError, match="open slots"):
+        diagram_from_arcs(1, [((0, 0), (0, 1))])
+
+
 def test_loop_counts_must_be_nonnegative_ints():
     for bad in (1.5, "x", True, -1):
         with pytest.raises(DiagramError):

@@ -93,6 +93,17 @@ def pretzel_digest() -> str:
     return _digest(out)
 
 
+def twist_free_digest() -> str:
+    """sha256 of Lambda over twist-free knots, which only the descending walk reaches.
+
+    Turk's heads of 4, 5 and 7 crossing pairs, and the mirror of the
+    5; as knots, their tails carry the self-writhe of every crossing.
+    """
+    knots = [turks_head(4), turks_head(5), mirror(turks_head(5)), turks_head(7)]
+    assert all(diagram.components(d) == 1 for d in knots)
+    return _digest(knots)
+
+
 def _digest(diagrams) -> str:
     h = hashlib.sha256()
     for d in diagrams:
@@ -407,6 +418,16 @@ def test_pretzel_digest_is_the_twist_step_value():
     # from the root of a checkout of that commit with this file copied
     # into its tests/
     assert pretzel_digest() == "18c359d1d9df23e5e6060e875cbbd62e28d7b64352c00ccd1b98b93c460e379d"
+
+
+def test_twist_free_digest_pins_the_descending_tail():
+    # read at 7880708, where the walk read each self-crossing's sign off
+    # the walk itself, by running
+    #   PYTHONPATH=src:tests python3 -c 'import test_kauffman as t; print(t.twist_free_digest())'
+    # from the root of a checkout of that commit with this file copied
+    # into its tests/.  The mirror and relabel test checks symmetries of
+    # these diagrams; this pins their values
+    assert twist_free_digest() == "7acc7fe35f54eb08eaa1dcc54e6a733daad1fc1ac563335c29696dc46818ba20"
 
 
 def test_scrambled_and_mirrored_builds_match_the_transfer_walk():

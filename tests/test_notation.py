@@ -100,6 +100,11 @@ def test_constructor_validates_like_parser():
         ConwayCode((2, 1.5, 2))
 
 
+def test_constructor_refuses_an_empty_code():
+    with pytest.raises(EmptyInputError):
+        ConwayCode(())
+
+
 def test_codes_are_immutable_values():
     code = ConwayCode(entries=(2, 1, 2))
     assert code == parse_conway("2 1 2") and code != parse_conway("2 2")
