@@ -1,16 +1,18 @@
 """Command line front end.
 
 Exit status is 0 when every check run by the command passed, 1 when a
-verification check failed, 2 for malformed input.  Codes are given as
-one argument per twist count, or as a single quoted string with spaces
-or commas.  Each command returns (exit status, JSON payload, human
-lines), and main prints the payload or the lines.
+verification check failed or the reader closed stdout early, 2 for
+malformed input.  Codes are given as one argument per twist count, or
+as a single quoted string with spaces or commas.  Each command returns
+(exit status, JSON payload, human lines), and main prints the payload
+or the lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 
@@ -151,10 +153,11 @@ def cmd_pd(args):
         try:
             rec = json.loads(ln)
             name, pd = rec["name"], rec["pd"]
+            if not isinstance(name, str):
+                raise TypeError("name must be a string")
+            name.encode()  # a lone surrogate would fail only when printed
         except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise DiagramError(f"bad pd record {ln[:40]!r}: {exc}") from None
-        if not isinstance(name, str):
-            raise DiagramError(f"bad pd record {ln[:40]!r}: name must be a string")
         rep = check_diagram(parse_pd(pd), expected=expected, name=name, cache=memo)
         if rep.failure:
             print(f"{name}: {rep.failure}", file=sys.stderr)
@@ -211,15 +214,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         status, payload, lines = args.fn(args)
+        if args.json:
+            print(json.dumps(payload))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
     except (NotationError, DiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TopDegreeMismatchError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to
+        # devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status

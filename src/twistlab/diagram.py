@@ -34,35 +34,7 @@ INFINITY = "infinity"
 
 
 class DiagramError(ValueError):
-    """Base class for malformed diagrams or bad diagram operations."""
-
-
-class UnknownCrossingError(DiagramError):
-    pass
-
-
-class EmptyDiagramError(DiagramError):
-    pass
-
-
-class BadArityError(DiagramError):
-    pass
-
-
-class DanglingLabelError(DiagramError):
-    pass
-
-
-class LabelCountMismatchError(DiagramError):
-    pass
-
-
-class PDTypeError(DiagramError):
-    pass
-
-
-class NonPlanarError(DiagramError):
-    pass
+    """A malformed diagram, a bad diagram operation, or a diagram past the skein budget."""
 
 
 class LinkDiagram:
@@ -282,7 +254,7 @@ _STRAIGHT = ((0, 2), (1, 3))
 
 def _check_crossing(d: LinkDiagram, crossing: int) -> None:
     if not isinstance(crossing, int) or not 0 <= crossing < d.crossings:
-        raise UnknownCrossingError(f"no crossing {_shown(crossing)} in {d!r}")
+        raise DiagramError(f"no crossing {_shown(crossing)} in {d!r}")
 
 
 def _excise(d: LinkDiagram, bridges) -> LinkDiagram:
@@ -474,7 +446,7 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     """
     for d in (d1, d2):
         if d.crossings == 0 and d.free_loops == 0:
-            raise EmptyDiagramError("cannot sum with an empty diagram")
+            raise DiagramError("cannot sum with an empty diagram")
     if d1.crossings == 0:
         return LinkDiagram._trusted(d2.mate, d2.free_loops + d1.free_loops - 1)
     if d2.crossings == 0:
@@ -653,26 +625,24 @@ def parse_pd(pd) -> LinkDiagram:
     if not isinstance(pd, (list, tuple)) or not all(
         isinstance(t, (list, tuple)) and all(type(x) in (int, str) for x in t) for t in pd
     ):
-        raise PDTypeError("a pd code is a list of crossings, each a list of int or str labels")
+        raise DiagramError("a pd code is a list of crossings, each a list of int or str labels")
     where: dict[object, list[int]] = {}
     for c, tup in enumerate(pd):
         if len(tup) != 4:
-            raise BadArityError(f"crossing {c} has {len(tup)} arc labels, wanted 4")
+            raise DiagramError(f"crossing {c} has {len(tup)} arc labels, wanted 4")
         for s, label in enumerate(tup):
             where.setdefault(label, []).append(4 * c + s)
     mate = [-1] * (4 * len(pd))
     for label, eps in where.items():
         if len(eps) == 1:
-            raise DanglingLabelError(f"arc label {_shown(label)} appears only once")
+            raise DiagramError(f"arc label {_shown(label)} appears only once")
         if len(eps) > 2:
-            raise LabelCountMismatchError(
-                f"arc label {_shown(label)} appears {len(eps)} times"
-            )
+            raise DiagramError(f"arc label {_shown(label)} appears {len(eps)} times")
         e1, e2 = eps
         mate[e1], mate[e2] = e2, e1
     d = LinkDiagram._trusted(tuple(mate), 0)
     if _face_count(d) != d.crossings + 2 * len(_crossing_groups(d.mate)):
-        raise NonPlanarError("the pd code has no plane embedding (Euler count fails)")
+        raise DiagramError("the pd code has no plane embedding (Euler count fails)")
     return d
 
 

@@ -94,11 +94,11 @@ and, with the budget lifted, at most 10 ms at 15 and 16; the build of
 14, one twist, takes 0.27 ms (medians of five calls).  Diagrams with
 few twist bigons still cost time exponential in crossings, so the
 budget stays.  Larger diagrams raise
-SkeinBudgetError.  The transfer walk takes at most MAX_CODE_CROSSINGS =
+DiagramError.  The transfer walk takes at most MAX_CODE_CROSSINGS =
 200 crossings: the polynomials grow with the code, so verify_code takes
 0.24-0.32 s on 2 1x96 2 (100 crossings) and 1.8-2.2 s on 2 1x196 2 (200),
 medians of five calls in two runs on a 2-vCPU Xeon VM with Python 3.11.7,
-about x6-x9 for twice the crossings.  Larger codes raise CodeBudgetError.
+about x6-x9 for twice the crossings.  Larger codes raise NotationError.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ from .diagram import (
     INFINITY,
     ZERO,
     DiagramError,
-    EmptyDiagramError,
     LinkDiagram,
     _rotate_crossings,
     _traversal_entries,
@@ -125,14 +124,6 @@ _CACHE_ENV = "TWISTLAB_CACHE"
 
 MAX_CODE_CROSSINGS = 200
 MAX_SKEIN_CROSSINGS = 14
-
-
-class CodeBudgetError(NotationError):
-    """The code has more crossings than the transfer walk accepts."""
-
-
-class SkeinBudgetError(DiagramError):
-    """The diagram has more crossings than the skein engine accepts."""
 
 
 class LaurentPoly2:
@@ -318,7 +309,7 @@ def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
     Diagrams above MAX_SKEIN_CROSSINGS crossings are refused.
     """
     if d.crossings > MAX_SKEIN_CROSSINGS:
-        raise SkeinBudgetError(
+        raise DiagramError(
             f"the skein engine stops at {MAX_SKEIN_CROSSINGS} crossings, got {d.crossings}"
         )
     if os.environ.get(_CACHE_ENV, "").strip().lower() in {"off", "0", "false", "no"}:
@@ -332,7 +323,7 @@ def _lambda(d: LinkDiagram, cache) -> LaurentPoly2:
     d, shift = remove_curls(d)
     if d.crossings == 0:
         if d.free_loops == 0:
-            raise EmptyDiagramError("the empty diagram has no polynomial")
+            raise DiagramError("the empty diagram has no polynomial")
         val = _delta_power(d.free_loops - 1)
     else:
         key = canonical_key(d) if cache is not None else None
@@ -426,7 +417,7 @@ def _open_state(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
     MAX_CODE_CROSSINGS crossings are refused.
     """
     if code.crossings > MAX_CODE_CROSSINGS:
-        raise CodeBudgetError(
+        raise NotationError(
             f"codes stop at {MAX_CODE_CROSSINGS} crossings, got {_shown(code.crossings)}"
         )
     axes = crossing_axes(code)

@@ -35,27 +35,7 @@ def _shown(value) -> str:
 
 
 class NotationError(ValueError):
-    """Base class for invalid Conway code input."""
-
-
-class EmptyInputError(NotationError):
-    pass
-
-
-class NonNumericTokenError(NotationError):
-    pass
-
-
-class NonPositiveEntryError(NotationError):
-    pass
-
-
-class EndEntryTooSmallError(NotationError):
-    pass
-
-
-class HopfBaseError(NotationError):
-    """The two-crossing clasp has no smaller standard representative."""
+    """Invalid Conway code input, or a code past the transfer walk's budget."""
 
 
 class ConwayCode:
@@ -69,14 +49,14 @@ class ConwayCode:
     def __init__(self, entries: tuple[int, ...]) -> None:
         object.__setattr__(self, "entries", tuple(entries))
         if not self.entries:
-            raise EmptyInputError("a Conway code needs at least one entry")
+            raise NotationError("a Conway code needs at least one entry")
         for e in self.entries:
             if not isinstance(e, int) or isinstance(e, bool):
-                raise NonNumericTokenError(f"entry {_shown(e)} is not an integer")
+                raise NotationError(f"entry {_shown(e)} is not an integer")
             if e < 1:
-                raise NonPositiveEntryError(f"twist counts must be positive, got {_shown(e)}")
+                raise NotationError(f"twist counts must be positive, got {_shown(e)}")
         if self.entries[0] < 2 or self.entries[-1] < 2:
-            raise EndEntryTooSmallError(
+            raise NotationError(
                 f"end sites need at least two crossings: {_shown(self.entries)}"
             )
 
@@ -128,7 +108,7 @@ def parse_conway(text: str) -> ConwayCode:
     """
     tokens = text.split()
     if not tokens:
-        raise EmptyInputError("no twist counts given")
+        raise NotationError("no twist counts given")
     return ConwayCode(tuple(parse_int(tok) for tok in tokens))
 
 
@@ -140,11 +120,11 @@ def parse_int(text: str, what: str = "twist count") -> int:
     convert; ``what`` names the value in the error.
     """
     if not _ASCII_INT.fullmatch(text):
-        raise NonNumericTokenError(f"bad {what} {text!r}")
+        raise NotationError(f"bad {what} {text!r}")
     try:
         return int(text)
     except ValueError:
-        raise NonNumericTokenError(f"bad {what} {text[:20]}... ({len(text)} digits)") from None
+        raise NotationError(f"bad {what} {text[:20]}... ({len(text)} digits)") from None
 
 
 def continued_fraction(code: ConwayCode) -> Fraction:
@@ -183,7 +163,7 @@ def minimal_code(code: ConwayCode) -> ConwayCode:
     """
     if code.sites == 1:
         if code.crossings == 2:
-            raise HopfBaseError("the clasp has no smaller standard form")
+            raise NotationError("the clasp has no smaller standard form")
         return ConwayCode((3,))
     return ConwayCode((2,) + (1,) * (code.sites - 2) + (2,))
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -169,6 +171,18 @@ def test_pd_record_name_must_be_a_string(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_pd_record_name_that_cannot_be_printed_exits_two(tmp_path, capsys, flags):
+    # JSON reads "\ud800" as a lone surrogate, which has no UTF-8 form
+    target = tmp_path / "surrogate.jsonl"
+    pd = [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]]
+    target.write_text(json.dumps({"name": "\ud800", "pd": pd}) + "\n", encoding="utf-8")
+    assert main(["pd", "--file", str(target), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad pd record ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -368,3 +382,27 @@ def test_python_dash_m_runs_main(capsys):
     )
     assert main(argv) == 0
     assert (run.returncode, run.stdout) == (0, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_reader_that_closes_the_pipe_gets_no_traceback(flags):
+    # the sweep prints far more than a pipe holds, so a write fails
+    # once the reader has gone
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "twistlab", "verify", "--enumerate", "--max-crossings", "12"]
+    proc = subprocess.Popen(
+        [*argv, *flags], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_console_script_runs_main():
+    # tomllib is 3.11+, so the one line is read with a regex
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^\[project\.scripts\]\ntwistlab = "([\w.]+):(\w+)"$', text, re.M)
+    module, attr = script.groups()
+    assert getattr(importlib.import_module(module), attr) is main

@@ -12,15 +12,8 @@ from twistlab import diagram
 from twistlab.diagram import (
     INFINITY,
     ZERO,
-    BadArityError,
-    DanglingLabelError,
     DiagramError,
-    EmptyDiagramError,
-    LabelCountMismatchError,
     LinkDiagram,
-    NonPlanarError,
-    PDTypeError,
-    UnknownCrossingError,
     build_standard,
     canonical_key,
     components,
@@ -246,7 +239,7 @@ def test_smooth_changes_components_by_at_most_one():
 
 def test_smooth_rejects_bad_input():
     d = _build("2")
-    with pytest.raises(UnknownCrossingError):
+    with pytest.raises(DiagramError, match="no crossing 2 in"):
         smooth(d, 2, ZERO)
     with pytest.raises(DiagramError):
         smooth(d, 0, "sideways")
@@ -472,7 +465,7 @@ def test_connected_sum_unknot_is_identity():
 
 
 def test_connected_sum_rejects_empty():
-    with pytest.raises(EmptyDiagramError):
+    with pytest.raises(DiagramError, match="cannot sum with an empty diagram"):
         connected_sum(unlink(0), _build("2"))
 
 
@@ -557,35 +550,38 @@ def test_pd_labels_appear_twice():
     assert all(flat.count(x) == 2 for x in set(flat))
 
 
+PD_TYPE = "a pd code is a list of crossings"
+
+
 def test_parse_pd_errors():
-    with pytest.raises(BadArityError):
+    with pytest.raises(DiagramError, match="arc labels, wanted 4"):
         parse_pd([[1, 2, 3]])
-    with pytest.raises(DanglingLabelError):
+    with pytest.raises(DiagramError, match="appears only once"):
         parse_pd([[1, 2, 3, 4], [4, 3, 2, 5]])
-    with pytest.raises(LabelCountMismatchError):
+    with pytest.raises(DiagramError, match="appears 3 times"):
         parse_pd([[1, 1, 2, 2], [2, 3, 3, 1]])
     text = json.dumps(to_pd(_build("3")))  # decoding is the caller's job
     for bad in (5, [5], [[[1], 2, 3, 4], [4, 3, 2, [1]]], [[True, 2, 3, 4], [4, 3, 2, 1]], text):
-        with pytest.raises(PDTypeError):
+        with pytest.raises(DiagramError, match=PD_TYPE):
             parse_pd(bad)
-    with pytest.raises(NonPlanarError):
+    with pytest.raises(DiagramError, match="no plane embedding"):
         parse_pd([[1, 2, 3, 4], [1, 3, 2, 4]])
 
 
 # parse_pd takes a decoded code and refuses text, whatever it would decode to
 
 def test_parse_pd_rejects_text_that_is_not_json():
-    with pytest.raises(PDTypeError):
+    with pytest.raises(DiagramError, match=PD_TYPE):
         parse_pd("nope")
 
 
 def test_parse_pd_rejects_text_nested_too_deeply():
-    with pytest.raises(PDTypeError):
+    with pytest.raises(DiagramError, match=PD_TYPE):
         parse_pd("[" * 100000)
 
 
 def test_parse_pd_rejects_labels_too_long_for_int():
-    with pytest.raises(PDTypeError):
+    with pytest.raises(DiagramError, match=PD_TYPE):
         parse_pd("[[" + "1" * 5000 + ", 2, 3, 4]]")
 
 
@@ -593,22 +589,22 @@ HUGE = 10**5000  # past Python's 4300-digit limit for turning an int into text
 
 
 @pytest.mark.parametrize(
-    "make, error",
+    "make, message",
     [
-        (lambda: parse_pd([[HUGE, 2, 3, 4]]), DanglingLabelError),
-        (lambda: parse_pd([[HUGE, HUGE, HUGE, 4]]), LabelCountMismatchError),
-        (lambda: LinkDiagram((HUGE, 0, 3, 2)), DiagramError),
-        (lambda: smooth(_build("3"), HUGE, ZERO), UnknownCrossingError),
-        (lambda: smooth(_build("3"), 0, HUGE), DiagramError),
-        (lambda: switch(_build("3"), -HUGE), UnknownCrossingError),
-        (lambda: diagram_from_arcs(1, [((HUGE, 0), (0, 1))]), DiagramError),
+        (lambda: parse_pd([[HUGE, 2, 3, 4]]), r"arc label <\d+-bit int> appears only once"),
+        (lambda: parse_pd([[HUGE, HUGE, HUGE, 4]]), r"arc label <\d+-bit int> appears 3 times"),
+        (lambda: LinkDiagram((HUGE, 0, 3, 2)), r"matched out of range: <\d+-bit int>"),
+        (lambda: smooth(_build("3"), HUGE, ZERO), r"no crossing <\d+-bit int> in"),
+        (lambda: smooth(_build("3"), 0, HUGE), r"unknown smoothing mode <\d+-bit int>"),
+        (lambda: switch(_build("3"), -HUGE), r"no crossing <\d+-bit int> in"),
+        (lambda: diagram_from_arcs(1, [((HUGE, 0), (0, 1))]), r"out of range: \(\(<\d+-bit int>"),
     ],
     ids=["dangling_label", "label_count", "matching", "smooth_crossing", "smooth_mode",
          "switch_crossing", "arc_endpoint"],
 )
-def test_error_messages_show_ints_too_long_to_print(make, error):
+def test_error_messages_show_ints_too_long_to_print(make, message):
     # an f-string of such an int raises a plain ValueError of its own
-    with pytest.raises(error, match="-bit int>"):
+    with pytest.raises(DiagramError, match=message):
         make()
 
 

@@ -12,7 +12,7 @@ from twistlab import diagram, kauffman
 from twistlab.diagram import (
     INFINITY,
     ZERO,
-    EmptyDiagramError,
+    DiagramError,
     build_standard,
     connected_sum,
     mirror,
@@ -135,6 +135,14 @@ def test_mirror_a_swaps_exponents():
     assert p.mirror_a().mirror_a() == p
 
 
+def test_equal_diagrams_and_polynomials_hash_equal():
+    d = _build("2 1 2")
+    copy = relabel(d, [2, 0, 4, 1, 3], [2, 0, 0, 2, 2])
+    assert copy.mate != d.mate and hash(copy) == hash(d) and len({d, copy}) == 1
+    p = lambda_poly(d)
+    assert len({p, p.mirror_a().mirror_a()}) == 1
+
+
 def test_terms_are_sorted_and_round_trip():
     p = _poly({(1, -1): -1, (-1, -1): -1, (0, 0): 1, (1, 1): 1, (-1, 1): 1})
     ts = p.terms()
@@ -164,7 +172,7 @@ def test_unknot_and_unlinks():
 
 
 def test_empty_diagram_has_no_value():
-    with pytest.raises(EmptyDiagramError):
+    with pytest.raises(DiagramError, match="empty diagram has no polynomial"):
         lambda_poly(unlink(0))
 
 
