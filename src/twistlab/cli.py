@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 
@@ -81,10 +82,10 @@ def cmd_verify(args):
         lines = [r.summary() for r in reports]
         lines.append(f"{len(reports)} codes, {passed} passed")
         return 0 if passed == len(reports) else 1, payload, lines
-    if not args.code:
-        raise NotationError("give a code or use --enumerate")
     if args.max_crossings is not None:
         raise NotationError("--max-crossings needs --enumerate")
+    if not args.code:
+        raise NotationError("give a code or use --enumerate")
     report = verify_code(_parse_code(args.code))
     return 0 if report.overall else 1, report.as_dict(), [report.summary()]
 
@@ -134,8 +135,10 @@ def cmd_sum(args):
 def cmd_pd(args):
     expected = None
     if args.expect:
-        parts = [parse_int(x, "--expect value") for x in args.expect.replace(",", " ").split()]
-        if len(parts) != 3 or min(parts) < 0:
+        # fields split at a comma, blanks or both; an empty one is refused
+        fields = re.split(r"\s*,\s*|\s+", args.expect.strip())
+        parts = [parse_int(x, "--expect value") for x in fields if x]
+        if len(fields) != 3 or len(parts) != 3 or min(parts) < 0:
             raise DiagramError(
                 "--expect wants three nonnegative integers: u_minus,u_zero,u_plus"
             )
@@ -152,11 +155,13 @@ def cmd_pd(args):
     for ln in lines:
         try:
             rec = json.loads(ln)
+            if not (isinstance(rec, dict) and "name" in rec and "pd" in rec):
+                raise TypeError('wanted an object with "name" and "pd"')
             name, pd = rec["name"], rec["pd"]
             if not isinstance(name, str):
                 raise TypeError("name must be a string")
             name.encode()  # a lone surrogate would fail only when printed
-        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, TypeError) as exc:
             raise DiagramError(f"bad pd record {ln[:40]!r}: {exc}") from None
         rep = check_diagram(parse_pd(pd), expected=expected, name=name, cache=memo)
         if rep.failure:

@@ -79,12 +79,8 @@ vertical.  Closing the tangle top to top and bottom to bottom gives
 Lambda = delta h + a^-1 x + v for the vector h H + x X + v V.  The
 2-strand BMW algebra (Birman-Wenzl 1989) is the same relations in
 matrix form.  Cost is linear in crossings times the size of the
-polynomials.  The last crossing is always horizontal, and the vector
-walked up to it also closes to each smoothing of that crossing:
-INFINITY gives delta h + a^-1 x + v and ZERO gives h + a x + delta v.
-So ``lambda_code_and_smoothings`` gives Lambda and both smoothings from
-one walk, and verify_code walks a code once (twice when the code is not
-its own minimal code).
+polynomials, and verify_code walks a code once (twice when the code is
+not its own minimal code).
 
 Work that could not finish is refused up front.  The skein engine
 takes at most MAX_SKEIN_CROSSINGS = 14 crossings.  On 2 vCPUs with
@@ -430,19 +426,6 @@ def _open_state(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
 def lambda_code(code) -> LaurentPoly2:
     """Lambda of ``build_standard(code)``, by transfer matrices."""
     return _close(*_twist_horizontal(*_open_state(code)))
-
-
-def lambda_code_and_smoothings(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
-    """Lambda of the build and of both smoothings of its last crossing.
-
-    All three come from one walk of the open tangle.  The first is
-    ``lambda_code(code)``; the other two equal
-    ``lambda_poly(smooth(build_standard(code), c - 1, mode))`` for ZERO
-    and INFINITY, c being the crossing count.
-    """
-    h, x, v = _open_state(code)
-    zero = h + x.shift(a_exp=1) + _delta_power(1) * v
-    return _close(*_twist_horizontal(h, x, v)), zero, _close(h, x, v)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ instead of evaluating it again.  Nothing here ever adjusts a computed
 value to match a prediction; a failed check stays failed in the report.
 
 Checks on a code evaluate its standard build once with the
-transfer-matrix engine (``lambda_code``, or ``lambda_code_and_smoothings``
-in verify_code); only diagrams that are not a standard build, such as
-mirrors, connected sums and PD input, go to the skein engine.
+transfer-matrix engine (``lambda_code``); only diagrams that are not a
+standard build, such as mirrors, connected sums and PD input, go to the
+skein engine.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .kauffman import (
     LaurentPoly2,
     TopDegreeMismatchError,
     lambda_code,
-    lambda_code_and_smoothings,
     lambda_poly,
     truncate,
 )
@@ -173,9 +172,9 @@ def verify_mirror(code: ConwayCode) -> VerificationReport:
 def verify_code(code: ConwayCode) -> VerificationReport:
     """Run every check that applies to one code on one walk of its build.
 
-    One transfer walk (``lambda_code_and_smoothings``) gives Lambda and
-    both smoothings of the last crossing; only reduction_match walks a
-    second code, the minimal one, and only when it differs from the code.
+    One transfer walk (``lambda_code``) gives Lambda; only
+    reduction_match walks a second code, the minimal one, and only when
+    it differs from the code.
 
     degree_bounds checks that every term has z_exp + |a_exp| at most c;
     that the z-degree is c - 1 is already proved by ``truncate``.
@@ -185,14 +184,9 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     and the minimal code with the same number of sites share their five
     leading coefficients, each read at its own top degree; a code that
     is its own minimal code is not walked again, and passes.
-    skein_truncated (three or more crossings) checks the one-sided
-    skein shape of the two top rows: switching the last crossing of an
-    alternating standard build drops the z-degree by at least three, so
-    there Lambda must equal z times the sum over both smoothings at
-    that crossing.
     """
     c = code.crossings
-    p, zero, infinity = lambda_code_and_smoothings(code)
+    p = lambda_code(code)
     u = truncate(p, c)
     expect = predicted_u(code)
     rep = VerificationReport(
@@ -208,10 +202,6 @@ def verify_code(code: ConwayCode) -> VerificationReport:
         rep.checks["reduction_match"] = small == code or u == truncate(
             lambda_code(small), small.crossings
         )
-    if c >= 3:
-        rhs = (zero + infinity).shift(z_exp=1)
-        rows = (c - 1, c - 2)
-        rep.checks["skein_truncated"] = all(p.z_row(r) == rhs.z_row(r) for r in rows)
     return rep
 
 

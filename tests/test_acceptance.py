@@ -24,13 +24,7 @@ from twistlab.diagram import (
     smooth,
     switch,
 )
-from twistlab.kauffman import (
-    LaurentPoly2,
-    lambda_code,
-    lambda_code_and_smoothings,
-    lambda_poly,
-    truncate,
-)
+from twistlab.kauffman import LaurentPoly2, lambda_code, lambda_poly, truncate
 from twistlab.notation import enumerate_standard, parse_conway, predicted_u
 from twistlab.verify import BALANCED, chirality_class
 
@@ -210,12 +204,4 @@ def test_criterion_11_transfer_matrices_agree_with_the_skein_engine():
     ok = True
     for code in codes:
         ok = ok and lambda_code(code) == lambda_poly(build_standard(code), _CACHE)
-    n_smoothed = 0
-    for c in range(3, 10):
-        for code in enumerate_standard(c):
-            d = build_standard(code)
-            smoothed = [smooth(d, c - 1, mode) for mode in (ZERO, INFINITY)]
-            want = tuple(lambda_poly(e, _CACHE) for e in [d, *smoothed])
-            ok = ok and lambda_code_and_smoothings(code) == want
-            n_smoothed += 1
-    _report(f"11 engine-agreement ({len(codes)} codes, {n_smoothed} smoothed)", ok)
+    _report(f"11 engine-agreement ({len(codes)} codes)", ok)

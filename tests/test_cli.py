@@ -82,7 +82,8 @@ def test_pd_expect_match(tmp_path, capsys):
                 record = line
     target = tmp_path / "one.jsonl"
     target.write_text(record, encoding="utf-8")
-    assert main(["pd", "--file", str(target), "--expect", "1,4,3"]) == 0
+    for expect in ("1,4,3", "1, 4, 3", "1 4 3"):
+        assert main(["pd", "--file", str(target), "--expect", expect]) == 0
     capsys.readouterr()
     assert main(["pd", "--file", str(target), "--expect", "3,4,1"]) == 1
 
@@ -115,6 +116,10 @@ def test_input_errors_exit_two(capsys):
     assert main(["verify"]) == 2
     assert main(["pd", "--file", "/no/such/file.jsonl"]) == 2
     assert main(["pd", "--file", FIXTURES, "--expect", "1,2"]) == 2
+    capsys.readouterr()
+    for expect in ("1,,2,3", "1,2,3,"):
+        assert main(["pd", "--file", FIXTURES, "--expect", expect]) == 2
+        assert capsys.readouterr().err.startswith("error: --expect wants three ")
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0663"])
@@ -160,6 +165,32 @@ def test_pd_record_nested_too_deeply_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_TREFOIL_PD = [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "record",
+    [None, [1, 2], "x", 3, {"pd": _TREFOIL_PD}, {"name": "k"}],
+    ids=["null", "list", "string", "number", "no_name", "no_pd"],
+)
+def test_pd_record_that_is_not_a_name_and_pd_object_exits_two(tmp_path, capsys, record, flags):
+    target = tmp_path / "shape.jsonl"
+    target.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["pd", "--file", str(target), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad pd record ") and captured.err.count("\n") == 1
+    assert captured.err.endswith('wanted an object with "name" and "pd"\n')
+    for word in ("NoneType", "subscriptable", "indices"):
+        assert word not in captured.err
+
+
+def test_max_crossings_without_enumerate_names_the_missing_flag(capsys):
+    assert main(["verify", "--max-crossings", "5"]) == 2
+    assert capsys.readouterr().err == "error: --max-crossings needs --enumerate\n"
 
 
 @pytest.mark.parametrize("name", [[1, 2], 7, None])

@@ -8,7 +8,16 @@ import pytest
 
 from twistlab import kauffman, verify
 from twistlab.cli import main
-from twistlab.diagram import build_standard, connected_sum, mirror, parse_pd, switch
+from twistlab.diagram import (
+    INFINITY,
+    ZERO,
+    build_standard,
+    connected_sum,
+    mirror,
+    parse_pd,
+    smooth,
+    switch,
+)
 from twistlab.kauffman import LaurentPoly2, lambda_poly, truncate
 from twistlab.notation import (
     ConwayCode,
@@ -71,7 +80,6 @@ def test_twist_count_report_fields():
         "theorem_match",
         "chirality",
         "reduction_match",
-        "skein_truncated",
     }
 
 
@@ -94,23 +102,19 @@ def test_minimal_reduction():
     assert "reduction_match" not in verify_code(_code("2")).checks
 
 
-def test_truncated_skein_checks():
-    for text in ("3", "2 2", "4 3", "2 1 1 1 2"):
-        assert verify_code(_code(text)).checks["skein_truncated"] is True
-    assert "skein_truncated" not in verify_code(_code("2")).checks
-
-
-def test_truncated_skein_holds_at_a_first_site_crossing_too():
-    # same identity checked away from the designated crossing
-    from twistlab.diagram import INFINITY, ZERO, build_standard, smooth
-    from twistlab.kauffman import LaurentPoly2
-
-    d = build_standard(_code("4 3"))
-    p = lambda_poly(d)
+def test_truncated_skein_holds_at_the_first_and_last_crossing():
+    # switching either end crossing of an alternating standard build
+    # drops the z-degree by at least three, so the two top rows of
+    # Lambda are z times those of the sum over its two smoothings
     z = LaurentPoly2.monomial(1, 0, 1)
-    rhs = z * (lambda_poly(smooth(d, 0, ZERO)) + lambda_poly(smooth(d, 0, INFINITY)))
-    for row in (6, 5):
-        assert p.z_row(row) == rhs.z_row(row)
+    for text in ("3", "2 2", "4 3", "2 1 1 1 2"):
+        d = build_standard(_code(text))
+        c = d.crossings
+        p = lambda_poly(d)
+        for x in (0, c - 1):
+            rhs = z * (lambda_poly(smooth(d, x, ZERO)) + lambda_poly(smooth(d, x, INFINITY)))
+            for row in (c - 1, c - 2):
+                assert p.z_row(row) == rhs.z_row(row), (text, x, row)
 
 
 def test_connected_sum_report():
@@ -193,11 +197,9 @@ def test_verify_code_merges_applicable_checks():
         "theorem_match",
         "chirality",
         "reduction_match",
-        "skein_truncated",
     }
     rep = verify_code(_code("2"))
     assert "reduction_match" not in rep.checks
-    assert "skein_truncated" not in rep.checks
     assert rep.overall
 
 
@@ -231,8 +233,8 @@ def test_verify_code_never_enters_the_skein_engine(monkeypatch):
 
 
 def test_verify_code_walks_a_code_once_and_its_minimal_code_once(monkeypatch):
-    # one walk gives the code's Lambda and both smoothings; the minimal
-    # code takes a second walk unless the code is its own minimal code
+    # one walk gives the code's Lambda; the minimal code takes a second
+    # walk unless the code is its own minimal code
     walks = []
     real = kauffman._open_state
 
@@ -251,14 +253,15 @@ def _wrong_prediction(monkeypatch):
     monkeypatch.setattr(verify, "predicted_u", lambda code: (0, 0, 0))
 
 
-def _wrong_smoothings(monkeypatch):
-    real = verify.lambda_code_and_smoothings
+def _wrong_horizontal_step(monkeypatch):
+    # X -> +H instead of -H on a horizontal site
+    real = kauffman._twist_horizontal
 
-    def wrong(code):
-        p, zero, infinity = real(code)
-        return p, zero, infinity + LaurentPoly2.monomial(1, 0, code.crossings - 3)
+    def wrong(h, x, v):
+        _, x2, v2 = real(h, x, v)
+        return x, x2, v2
 
-    monkeypatch.setattr(verify, "lambda_code_and_smoothings", wrong)
+    monkeypatch.setattr(kauffman, "_twist_horizontal", wrong)
 
 
 def _wrong_minimal_polynomial(monkeypatch):
@@ -277,7 +280,7 @@ def _wrong_minimal_polynomial(monkeypatch):
     "break_it, check",
     [
         (_wrong_prediction, "theorem_match"),
-        (_wrong_smoothings, "skein_truncated"),
+        (_wrong_horizontal_step, "theorem_match"),
         (_wrong_minimal_polynomial, "reduction_match"),
     ],
 )
