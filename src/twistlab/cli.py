@@ -31,9 +31,15 @@ from .verify import (
 )
 
 
+# fields split at a comma, blanks or both; an empty one is refused
+_FIELDS = re.compile(r"\s*,\s*|\s+")
+
+
 def _parse_code(tokens):
-    text = " ".join(tokens).replace(",", " ")
-    return parse_conway(text)
+    fields = _FIELDS.split(" ".join(tokens).strip())
+    if len(fields) > 1 and "" in fields:
+        raise NotationError("empty twist count: a comma with no number on one side")
+    return parse_conway(" ".join(fields))
 
 
 def cmd_compute(args):
@@ -135,8 +141,7 @@ def cmd_sum(args):
 def cmd_pd(args):
     expected = None
     if args.expect:
-        # fields split at a comma, blanks or both; an empty one is refused
-        fields = re.split(r"\s*,\s*|\s+", args.expect.strip())
+        fields = _FIELDS.split(args.expect.strip())
         parts = [parse_int(x, "--expect value") for x in fields if x]
         if len(fields) != 3 or len(parts) != 3 or min(parts) < 0:
             raise DiagramError(

@@ -404,12 +404,11 @@ def _close(h, x, v) -> LaurentPoly2:
 
 
 def _open_state(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
-    """(H, X, V) vector of the standard build's tangle minus its last crossing.
+    """(H, X, V) vector of the standard build's tangle.
 
     One step per crossing, on the axes of ``notation.crossing_axes``
     that ``build_standard`` also follows, starting from the basis
-    tangle of the first crossing's axis.  The last crossing is always
-    horizontal and is left to the caller.  Codes above
+    tangle of the first crossing's axis.  Codes above
     MAX_CODE_CROSSINGS crossings are refused.
     """
     if code.crossings > MAX_CODE_CROSSINGS:
@@ -418,14 +417,14 @@ def _open_state(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
         )
     axes = crossing_axes(code)
     vec = (_ONE, _ZERO, _ZERO) if axes[0] else (_ZERO, _ZERO, _ONE)
-    for horizontal in axes[:-1]:
+    for horizontal in axes:
         vec = (_twist_horizontal if horizontal else _twist_vertical)(*vec)
     return vec
 
 
 def lambda_code(code) -> LaurentPoly2:
     """Lambda of ``build_standard(code)``, by transfer matrices."""
-    return _close(*_twist_horizontal(*_open_state(code)))
+    return _close(*_open_state(code))
 
 
 # ---------------------------------------------------------------------------

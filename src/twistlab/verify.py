@@ -178,7 +178,7 @@ def verify_code(code: ConwayCode) -> VerificationReport:
 
     degree_bounds checks that every term has z_exp + |a_exp| at most c;
     that the z-degree is c - 1 is already proved by ``truncate``.
-    theorem_match and chirality compare the truncated Lambda with the
+    theorem_match compares the whole truncated triple with the
     site-count prediction.  reduction_match (all but the clasp) checks
     that extra crossings only shift the truncated polynomial: the code
     and the minimal code with the same number of sites share their five
@@ -194,9 +194,6 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     )
     rep.checks["degree_bounds"] = p.max_weight() <= c
     rep.checks["theorem_match"] = u == expect
-    rep.checks["chirality"] = (chirality_class(u) == BALANCED) == (
-        chirality_class(expect) == BALANCED
-    )
     if not (code.sites == 1 and c == 2):
         small = minimal_code(code)
         rep.checks["reduction_match"] = small == code or u == truncate(

@@ -47,6 +47,24 @@ def test_compute_accepts_commas(capsys):
     assert "u = (1, 2, 1)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["2, 2", "2 ,2", "2 , 2"])
+def test_compute_accepts_blanks_around_commas(capsys, text):
+    assert main(["compute", text]) == 0
+    assert "u = (1, 2, 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["2,,3", ",2,2", "2,2,", "2, ,2"])
+@pytest.mark.parametrize("command", ["compute", "verify", "mirror", "sum"])
+def test_empty_code_field_exits_two(capsys, command, text):
+    # a comma with no number on one side is refused, not read as a blank
+    argv = [command, text] + (["3"] if command == "sum" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: empty twist count")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_single_code(capsys):
     assert main(["verify", "4", "3"]) == 0
     out = capsys.readouterr().out

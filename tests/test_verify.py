@@ -78,7 +78,6 @@ def test_twist_count_report_fields():
     assert set(rep.checks) == {
         "degree_bounds",
         "theorem_match",
-        "chirality",
         "reduction_match",
     }
 
@@ -195,7 +194,6 @@ def test_verify_code_merges_applicable_checks():
     assert set(rep.checks) == {
         "degree_bounds",
         "theorem_match",
-        "chirality",
         "reduction_match",
     }
     rep = verify_code(_code("2"))
