@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import shutil
 import sys
 
-from .diagram import DiagramError, parse_pd
+from .diagram import DiagramError, build_standard, components, parse_pd
 from .kauffman import TopDegreeMismatchError, lambda_code, staggered, truncate
-from .notation import NotationError, continued_fraction, parse_conway, parse_int
+from .notation import _FIELDS, NotationError, continued_fraction, parse_conway, parse_int
 from .verify import (
     amphicheiral_obstruction,
     chirality_class,
@@ -31,19 +30,8 @@ from .verify import (
 )
 
 
-# fields split at a comma, blanks or both; an empty one is refused
-_FIELDS = re.compile(r"\s*,\s*|\s+")
-
-
-def _parse_code(tokens):
-    fields = _FIELDS.split(" ".join(tokens).strip())
-    if len(fields) > 1 and "" in fields:
-        raise NotationError("empty twist count: a comma with no number on one side")
-    return parse_conway(" ".join(fields))
-
-
 def cmd_compute(args):
-    code = _parse_code(args.code)
+    code = parse_conway(" ".join(args.code))
     p = lambda_code(code)
     u = truncate(p, code.crossings)
     frac = continued_fraction(code)
@@ -51,8 +39,7 @@ def cmd_compute(args):
         "code": str(code),
         "crossings": code.crossings,
         "sites": code.sites,
-        # a two-bridge link p/q has two components exactly when p is even
-        "components": 2 if frac.numerator % 2 == 0 else 1,
+        "components": components(build_standard(code)),
         "fraction": [frac.numerator, frac.denominator],
         "lambda": [list(term) for term in p.terms()],
         "u": list(u),
@@ -92,12 +79,12 @@ def cmd_verify(args):
         raise NotationError("--max-crossings needs --enumerate")
     if not args.code:
         raise NotationError("give a code or use --enumerate")
-    report = verify_code(_parse_code(args.code))
+    report = verify_code(parse_conway(" ".join(args.code)))
     return 0 if report.overall else 1, report.as_dict(), [report.summary()]
 
 
 def cmd_mirror(args):
-    code = _parse_code(args.code)
+    code = parse_conway(" ".join(args.code))
     rep = verify_mirror(code)
     q = rep.polynomial
     u_mirror = truncate(q, rep.crossings)
@@ -117,8 +104,8 @@ def cmd_mirror(args):
 
 
 def cmd_sum(args):
-    code1 = _parse_code([args.code1])
-    code2 = _parse_code([args.code2])
+    code1 = parse_conway(args.code1)
+    code2 = parse_conway(args.code2)
     rep = verify_connected_sum(code1, code2)
     p = rep.polynomial
     c = rep.crossings

@@ -366,7 +366,7 @@ def _bigon_partner(mate, c: int, twist: bool, skip=()) -> int:
 
 
 def twist_region(d: LinkDiagram):
-    """The twist through the lowest crossing in a twist bigon, smoothed three ways.
+    """The twist through the lowest crossing in a twist bigon, and its smoothings.
 
     None when d has no twist bigon.  Otherwise the chain x_1..x_k of
     crossings joined by twist bigons runs from that crossing x_1 both
@@ -375,8 +375,9 @@ def twist_region(d: LinkDiagram):
     opposite corners, so at every chain crossing the same mode, along,
     passes the strands on along the twist, and the other, cross, joins
     the two slots of a bigon corner.  Returns ``(k, along, (d1, d0,
-    dc))``: d1 along-smooths x_2..x_k, d0 all k, and dc cross-smooths
-    x_1 and along-smooths the rest, each in one ``_excise``.
+    dc))``: d1 along-smooths x_2..x_k, then d0 and dc along- and
+    cross-smooth x_1 in d1, the skein relation at x_1.  Chain crossings,
+    each in a twist bigon, lie above x_1, so x_1 keeps its label in d1.
     """
     mate = d.mate
     for c in range(d.crossings):
@@ -394,12 +395,9 @@ def twist_region(d: LinkDiagram):
             chain.append(mate[e] >> 2)
             e = _bigon_partner(mate, chain[-1], True, chain)
         e = _bigon_partner(mate, c, True, chain)
-    rest = dict.fromkeys(chain[1:], _SMOOTH_PAIRS[along])
-    return len(chain), along, (
-        _excise(d, rest),
-        _excise(d, {c: _SMOOTH_PAIRS[along], **rest}),
-        _excise(d, {c: _SMOOTH_PAIRS[cross], **rest}),
-    )
+    d1 = _excise(d, dict.fromkeys(chain[1:], _SMOOTH_PAIRS[along]))
+    d0, dc = (_excise(d1, {c: _SMOOTH_PAIRS[m]}) for m in (along, cross))
+    return len(chain), along, (d1, d0, dc)
 
 
 def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:

@@ -29,8 +29,8 @@ along-smooths all and V cross-smooths one, the rest along-smoothed, so
 
     Lambda(D) = P_k Lambda(D1) + Q_k Lambda(D0) + R_k Lambda(Dc)
 
-where D1 along-smooths x_2..x_k, D0 all k, Dc cross-smooths x_1 and
-along-smooths the rest, and
+where D1 along-smooths x_2..x_k, and D0 and Dc along- and
+cross-smooth x_1 in D1: D1, then the skein relation at x_1.  Here
 
     P_j = z P_(j-1) - P_(j-2),                  P_0 = 0, P_1 = 1,
     Q_j = z Q_(j-1) - Q_(j-2),                  Q_0 = 1, Q_1 = 0,
@@ -308,6 +308,9 @@ def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
         raise DiagramError(
             f"the skein engine stops at {MAX_SKEIN_CROSSINGS} crossings, got {d.crossings}"
         )
+    if d.crossings == 0 and d.free_loops == 0:
+        # checked once: every excision below leaves a crossing or a loop
+        raise DiagramError("the empty diagram has no polynomial")
     if os.environ.get(_CACHE_ENV, "").strip().lower() in {"off", "0", "false", "no"}:
         cache = None
     elif cache is None:
@@ -318,8 +321,6 @@ def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
 def _lambda(d: LinkDiagram, cache) -> LaurentPoly2:
     d, shift = remove_curls(d)
     if d.crossings == 0:
-        if d.free_loops == 0:
-            raise DiagramError("the empty diagram has no polynomial")
         val = _delta_power(d.free_loops - 1)
     else:
         key = canonical_key(d) if cache is not None else None

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")
+_FIELDS = re.compile(r"\s*,\s*|\s+")  # a comma, blanks or both end a field
 
 
 def _shown(value) -> str:
@@ -102,14 +102,16 @@ def crossing_axes(code: ConwayCode) -> list[bool]:
 
 
 def parse_conway(text: str) -> ConwayCode:
-    """Parse whitespace-separated twist counts into a ConwayCode.
+    """Parse twist counts split at commas, blanks or both into a ConwayCode.
 
-    Each count is read by ``parse_int``.
+    Each count is read by ``parse_int``, and an empty field is refused.
     """
-    tokens = text.split()
-    if not tokens:
+    fields = _FIELDS.split(text.strip())
+    if fields == [""]:
         raise NotationError("no twist counts given")
-    return ConwayCode(tuple(parse_int(tok) for tok in tokens))
+    if "" in fields:
+        raise NotationError("empty twist count: a comma with no number on one side")
+    return ConwayCode(tuple(map(parse_int, fields)))
 
 
 def parse_int(text: str, what: str = "twist count") -> int:
@@ -133,6 +135,8 @@ def continued_fraction(code: ConwayCode) -> Fraction:
     For entries a1 .. an the value is an + 1/(a(n-1) + 1/(... + 1/a1)),
     so folding from the first entry outward gives the fraction exactly.
     """
+    from fractions import Fraction  # loads decimal: import it only when called
+
     value = Fraction(code.entries[0])
     for e in code.entries[1:]:
         value = e + 1 / value

@@ -401,7 +401,8 @@ def test_work_over_budget_is_refused_at_once(tmp_path, capsys, argv):
 
 def test_import_leaves_out_the_heavy_stdlib_modules():
     # every CLI call is one short process, so what import loads is paid per call;
-    # dataclasses alone pulls in inspect, which pulls in ast, dis and tokenize
+    # dataclasses alone pulls in inspect, which pulls in ast, dis and tokenize,
+    # and fractions pulls in decimal and numbers
     script = (
         "import sys; before = set(sys.modules); import twistlab, twistlab.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -411,7 +412,9 @@ def test_import_leaves_out_the_heavy_stdlib_modules():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "twistlab.cli" in loaded
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal",
+             "_decimal", "numbers"}
+    assert not heavy & set(loaded)
 
 
 def test_a_top_row_of_the_wrong_shape_exits_one(monkeypatch, capsys):

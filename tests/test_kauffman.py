@@ -356,6 +356,54 @@ def test_one_miss_resolves_a_whole_twist_region(monkeypatch):
         assert skein_calls(monkeypatch, lambda: lambda_poly(d)) <= most
 
 
+def test_twist_step_children_match_whole_diagram_excisions(monkeypatch):
+    # at every twist-step node the engine meets, d0 and dc, smoothed from
+    # d1, equal the reference construction: one excision of the whole
+    # diagram each, x_1 together with the rest of the chain
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    real_excise, real_region = diagram._excise, diagram.twist_region
+    bridges, steps = [], []
+
+    def excise(d, chosen):
+        bridges.append(chosen)
+        return real_excise(d, chosen)
+
+    def region(d):
+        bridges.clear()
+        got = real_region(d)
+        if got is None:
+            assert bridges == []
+            return got
+        k, along, children = got
+        cross = ZERO if along == INFINITY else INFINITY
+        rest, *smoothings = bridges
+        (x1,) = smoothings[0]
+        pairs = diagram._SMOOTH_PAIRS
+        assert smoothings == [{x1: pairs[along]}, {x1: pairs[cross]}]
+        assert rest == dict.fromkeys(rest, pairs[along]) and len(rest) == k - 1
+        twisted = [c for c in range(d.crossings) if diagram._bigon_partner(d.mate, c, True) >= 0]
+        assert x1 == twisted[0]
+        want = [real_excise(d, rest)] + [real_excise(d, {**x, **rest}) for x in smoothings]
+        assert [(g.mate, g.free_loops) for g in children] == [(g.mate, g.free_loops) for g in want]
+        steps.append(k)
+        return got
+
+    monkeypatch.setattr(diagram, "_excise", excise)
+    monkeypatch.setattr(kauffman, "twist_region", region)
+    rng = random.Random(29)
+    builds = [build_standard(code) for c in range(3, 11) for code in enumerate_standard(c)]
+    builds += [pretzel(*t) for t in ((2, 2, 2), (3, 3, 3), (4, 3, 5), (2, 1, 3, 2), (5, 2))]
+    for d in builds:
+        for e in (d, mirror(d)):
+            lambda_poly(_scramble(e, rng))
+    assert len(steps) > len(builds) and max(steps) >= 5
+    steps.clear()
+    for n in range(3, 7):
+        assert real_region(_scramble(turks_head(n), rng)) is None
+        lambda_poly(_scramble(turks_head(n), rng))
+    assert steps  # the walk's smoothings leave twist bigons
+
+
 def test_walk_bounds_the_work_on_twist_free_diagrams(monkeypatch):
     # closed 3-braids (s1 s2^-1)^n have no twist bigon, so every miss
     # walks.  Walks started only forward took 127 nodes on n = 7, walks

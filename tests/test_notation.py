@@ -46,6 +46,14 @@ def test_parse_rejects_garbage():
         parse_conway("2 -1 2")
 
 
+def test_parse_splits_at_commas_blanks_or_both():
+    for text in ("2,2", "2 , 2", " 2,\t2 ", "2 2"):
+        assert parse_conway(text).entries == (2, 2)
+    for text in ("2,,3", "2,2,", ",2,2", "2, ,2", ","):
+        with pytest.raises(NotationError, match="empty twist count"):
+            parse_conway(text)
+
+
 def test_parse_takes_only_ascii_digits():
     assert parse_conway("+2 1 +2").entries == (2, 1, 2)
     for bad in ("1_0", "٣", "2 ３", "0x3", "3.0", "++3"):
