@@ -465,7 +465,7 @@ def build_standard(code) -> LinkDiagram:
     """Standard alternating diagram of the rational link with this code.
 
     A four-ended tangle grows one crossing at a time, on the axes of
-    ``notation.crossing_axes`` that ``kauffman._open_state`` also walks:
+    ``notation.crossing_axes`` that ``kauffman.lambda_code`` also walks:
     a horizontal crossing joins the tangle's NE and SE ends to its own
     NW and SW slots, a vertical one joins SW and SE to NW and NE.  The
     tangle is closed NW to NE and SW to SE.  Every crossing has slots

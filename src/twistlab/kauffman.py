@@ -38,10 +38,11 @@ cross-smooth x_1 in D1: D1, then the skein relation at x_1.  Here
 
 with e = +1 when along is INFINITY, else -1.  Such a chain is a
 horizontal twist of ``lambda_code`` when e = +1 and a vertical one
-when e = -1, and the coefficients come from k - 1 of its steps applied
-to X.  At k = 2 this is the skein relation at x_2.  All three children
-lose the region, D1 but for x_1, which keeps the lowest label, so the
-next step starts from it; a k-crossing twist costs one memo miss.
+when e = -1: k - 1 of its ``_twist`` steps take (near, X, far) from X
+to (Q_k, P_k, R_k).  At k = 2 this is the skein relation at x_2.  All
+three children lose the region, D1 but for x_1, which keeps the lowest
+label, so the next step starts from it; a k-crossing twist costs one
+memo miss.
 
 A diagram with no twist bigon is walked instead: the engine switches
 each crossing first met on its under strand, accumulating the skein
@@ -65,22 +66,21 @@ evaluates the standard build of ``diagram.build_standard`` with one
 3x3 step per crossing.  By Kauffman's tangle skein relations ("An
 invariant of regular isotopy", Trans. AMS 318, 1990) every 4-ended
 tangle reduces to a combination of three basis tangles: H (arcs NW-NE
-and SW-SE), V (arcs NW-SW and NE-SE) and X (one site crossing).  Adding
-a crossing to a horizontal site maps
+and SW-SE), V (arcs NW-SW and NE-SE) and X (one site crossing).  A
+vertical site is a horizontal one reflected in the NW-SE diagonal,
+which swaps H with V and a with 1/a, so one step ``_twist`` adds a
+crossing to either:
 
-    H -> X,   X -> -H + z X + z a V,   V -> a V,
+    near -> X,   X -> -near + z X + z a^e far,   far -> a^e far,
 
-and adding one to a vertical site maps
-
-    V -> X,   X -> -V + z X + z a^-1 H,   H -> a^-1 H.
-
-The walk starts at H if the first site is horizontal and at V if it is
-vertical.  Closing the tangle top to top and bottom to bottom gives
-Lambda = delta h + a^-1 x + v for the vector h H + x X + v V.  The
-2-strand BMW algebra (Birman-Wenzl 1989) is the same relations in
-matrix form.  Cost is linear in crossings times the size of the
-polynomials, and verify_code walks a code once (twice when the code is
-not its own minimal code).
+on (near, X, far) = (H, X, V) with e = +1 at a horizontal site and on
+(V, X, H) with e = -1 at a vertical one.  The walk starts at H if the
+first site is horizontal and at V if it is vertical.  Closing the
+tangle top to top and bottom to bottom gives Lambda = delta h + a^-1 x
++ v for the vector h H + x X + v V.  The 2-strand BMW algebra
+(Birman-Wenzl 1989) is the same relations in matrix form.  Cost is
+linear in crossings times the size of the polynomials, and verify_code
+walks a code once (twice when the code is not its own minimal code).
 
 Work that could not finish is refused up front.  The skein engine
 takes at most MAX_SKEIN_CROSSINGS = 14 crossings.  On 2 vCPUs with
@@ -281,19 +281,19 @@ def _delta_power(k: int) -> LaurentPoly2:
     return _DELTA_POWERS[k]
 
 
-# (H, X, V) vectors of horizontal (along INFINITY) and vertical (along
-# ZERO) twists of 1, 2, ... crossings
+# (near, X, far) vectors, which are (Q_k, P_k, R_k), of horizontal (along
+# INFINITY) and vertical (along ZERO) twists of 1, 2, ... crossings
 _TWISTS = {INFINITY: [(_ZERO, _ONE, _ZERO)], ZERO: [(_ZERO, _ONE, _ZERO)]}
 
 
 def _twist_coefficients(k: int, along: str) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
     """(P_k, Q_k, R_k) of a twist region whose along smoothing is ``along``."""
     twists = _TWISTS[along]
-    horizontal = along == INFINITY
+    e = 1 if along == INFINITY else -1
     while len(twists) < k:
-        twists.append((_twist_horizontal if horizontal else _twist_vertical)(*twists[-1]))
-    h, x, v = twists[k - 1]
-    return (x, h, v) if horizontal else (x, v, h)
+        twists.append(_twist(*twists[-1], e))
+    q, p, r = twists[k - 1]
+    return p, q, r
 
 
 def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
@@ -388,44 +388,32 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
 # ---------------------------------------------------------------------------
 # transfer matrices for standard builds
 
-def _twist_horizontal(h, x, v):
-    """One more crossing on a horizontal site: H -> X, X -> -H + zX + zaV, V -> aV."""
+def _twist(near, x, far, e):
+    """One more crossing on a site: near -> X, X -> -near + zX + z a^e far, far -> a^e far."""
     xz = x.shift(z_exp=1)
-    return -x, h + xz, (xz + v).shift(a_exp=1)
+    return -x, near + xz, (xz + far).shift(a_exp=e)
 
 
-def _twist_vertical(h, x, v):
-    """One more crossing on a vertical site: V -> X, X -> -V + zX + z/a H, H -> H/a."""
-    xz = x.shift(z_exp=1)
-    return (h + xz).shift(a_exp=-1), v + xz, -x
+def lambda_code(code) -> LaurentPoly2:
+    """Lambda of ``build_standard(code)``, by transfer matrices.
 
-
-def _close(h, x, v) -> LaurentPoly2:
-    return _delta_power(1) * h + x.shift(a_exp=-1) + v
-
-
-def _open_state(code) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
-    """(H, X, V) vector of the standard build's tangle.
-
-    One step per crossing, on the axes of ``notation.crossing_axes``
+    One ``_twist`` per crossing, on the axes of ``notation.crossing_axes``
     that ``build_standard`` also follows, starting from the basis
-    tangle of the first crossing's axis.  Codes above
-    MAX_CODE_CROSSINGS crossings are refused.
+    tangle of the first crossing's axis; then the tangle is closed.
+    Codes above MAX_CODE_CROSSINGS crossings are refused.
     """
     if code.crossings > MAX_CODE_CROSSINGS:
         raise NotationError(
             f"codes stop at {MAX_CODE_CROSSINGS} crossings, got {_shown(code.crossings)}"
         )
     axes = crossing_axes(code)
-    vec = (_ONE, _ZERO, _ZERO) if axes[0] else (_ZERO, _ZERO, _ONE)
+    h, x, v = (_ONE, _ZERO, _ZERO) if axes[0] else (_ZERO, _ZERO, _ONE)
     for horizontal in axes:
-        vec = (_twist_horizontal if horizontal else _twist_vertical)(*vec)
-    return vec
-
-
-def lambda_code(code) -> LaurentPoly2:
-    """Lambda of ``build_standard(code)``, by transfer matrices."""
-    return _close(*_open_state(code))
+        if horizontal:
+            h, x, v = _twist(h, x, v, 1)
+        else:
+            v, x, h = _twist(v, x, h, -1)
+    return _delta_power(1) * h + x.shift(a_exp=-1) + v
 
 
 # ---------------------------------------------------------------------------

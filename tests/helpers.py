@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pathlib
 import random
+from fractions import Fraction
 
 from twistlab import kauffman
 from twistlab.diagram import LinkDiagram, diagram_from_arcs, parse_pd
@@ -72,6 +73,39 @@ def add_curl(d: LinkDiagram, endpoint: int, sign: int) -> LinkDiagram:
         mate[f], mate[b + 0] = b + 0, f
         mate[b + 1], mate[b + 2] = b + 2, b + 1
     return LinkDiagram(tuple(mate), d.free_loops)
+
+
+def _cyclotomic_mul(x, y) -> list:
+    """Product in Q[A]/(A^4 + 1), elements as coefficients of 1, A, A^2, A^3."""
+    out = [Fraction(0)] * 4
+    for i, c in enumerate(x):
+        for j, b in enumerate(y):
+            if i + j < 4:
+                out[i + j] += c * b
+            else:
+                out[i + j - 4] -= c * b
+    return out
+
+
+def determinant_squared(p: kauffman.LaurentPoly2) -> tuple:
+    """|Lambda|^2 at a = -A^3, z = A - A^3, A = e^(i pi/4), exactly.
+
+    There Lambda is the Kauffman bracket up to a unit (Kauffman,
+    Topology 26, 1987), so its modulus is the determinant.  Values live
+    in Q(zeta_8) = Q[A]/(A^4 + 1), where a = A^-1 and z^2 = 2, so
+    z^-1 = z/2; conjugation sends A to A^-1 = -A^3.  The result is the
+    product's coefficients of 1, A, A^2, A^3, so (det^2, 0, 0, 0).
+    """
+    value = [Fraction(0)] * 4
+    for a_exp, z_exp, coeff in p.terms():
+        k = -a_exp % 8  # a = -A^3 = A^-1, and A^4 = -1
+        term = [Fraction(0)] * 4
+        term[k % 4] = (-coeff if k >= 4 else coeff) * Fraction(2) ** (z_exp // 2)
+        if z_exp % 2:
+            term = _cyclotomic_mul(term, [0, 1, 0, -1])
+        value = [u + t for u, t in zip(value, term)]
+    c0, c1, c2, c3 = value
+    return tuple(_cyclotomic_mul(value, [c0, -c3, -c2, -c1]))
 
 
 def relabel(d: LinkDiagram, perm, rots=None) -> LinkDiagram:

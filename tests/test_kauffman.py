@@ -32,9 +32,17 @@ from twistlab.kauffman import (
     staggered,
     truncate,
 )
-from twistlab.notation import enumerate_standard, parse_conway
+from twistlab.notation import continued_fraction, enumerate_standard, parse_conway
 
-from helpers import add_curl, pretzel, random_diagrams, relabel, skein_calls, turks_head
+from helpers import (
+    add_curl,
+    determinant_squared,
+    pretzel,
+    random_diagrams,
+    relabel,
+    skein_calls,
+    turks_head,
+)
 
 # no 2-gon face, so no twist bigon: the skein engine takes the walk
 BORROMEAN = [[1, 2, 3, 4], [5, 6, 2, 7], [6, 8, 9, 3], [10, 11, 8, 5], [11, 12, 4, 9], [7, 1, 12, 10]]
@@ -494,6 +502,80 @@ def test_scrambled_and_mirrored_builds_match_the_transfer_walk():
             p = lambda_code(code)
             assert lambda_poly(scrambled) == p, code
             assert lambda_poly(mirror(scrambled)) == p.mirror_a(), code
+
+
+def test_standard_builds_have_the_fraction_numerator_as_determinant():
+    # an oracle outside both engines: the determinant of a rational
+    # link is the numerator of its continued fraction
+    for c in range(2, 11):
+        for code in enumerate_standard(c):
+            p = continued_fraction(code).numerator
+            assert determinant_squared(lambda_code(code)) == (p * p, 0, 0, 0), code
+
+
+def test_scrambled_mirrors_have_the_fraction_numerator_as_determinant():
+    rng = random.Random(6)
+    for c in range(2, 9):
+        for code in enumerate_standard(c):
+            p = continued_fraction(code).numerator
+            d = _scramble(mirror(build_standard(code)), rng)
+            assert determinant_squared(lambda_poly(d)) == (p * p, 0, 0, 0), code
+
+
+def test_turks_heads_have_the_wheel_spanning_tree_count_as_determinant():
+    # the Tait graph of turks_head(n) is the wheel W_n, which has
+    # L_2n - 2 spanning trees, L the Lucas numbers; these values come
+    # from the skein engine's descending walk, with no transfer walk
+    lucas = [2, 1]
+    while len(lucas) <= 12:
+        lucas.append(lucas[-1] + lucas[-2])
+    for n in range(3, 7):
+        trees = lucas[2 * n] - 2
+        assert determinant_squared(lambda_poly(turks_head(n))) == (trees * trees, 0, 0, 0), n
+
+
+_Z = LaurentPoly2.monomial(1, 0, 1)
+_A = LaurentPoly2.monomial(1, 1, 0)
+_A_INV = LaurentPoly2.monomial(1, -1, 0)
+
+
+def _horizontal_relation(h, x, v):
+    """hH + xX + vV after H -> X, X -> -H + zX + zaV, V -> aV, as (h, x, v)."""
+    return -x, h + _Z * x, _Z * _A * x + _A * v
+
+
+def _vertical_relation(h, x, v):
+    """hH + xX + vV after V -> X, X -> -V + zX + z/a H, H -> H/a, as (h, x, v)."""
+    return _A_INV * h + _Z * _A_INV * x, v + _Z * x, -x
+
+
+def _random_poly(rng):
+    terms = {}
+    for _ in range(rng.randrange(5)):
+        terms[rng.randint(-3, 3), rng.randint(-2, 3)] = rng.randint(-4, 4)
+    return LaurentPoly2(terms)
+
+
+def test_one_twist_step_turned_is_the_vertical_relation():
+    # the one step serves a vertical site in the diagonally reflected frame
+    rng = random.Random(24)
+    for _ in range(300):
+        h, x, v = (_random_poly(rng) for _ in range(3))
+        assert kauffman._twist(h, x, v, 1) == _horizontal_relation(h, x, v)
+        v2, x2, h2 = kauffman._twist(v, x, h, -1)
+        assert (h2, x2, v2) == _vertical_relation(h, x, v)
+
+
+@pytest.mark.parametrize("along, e", [(INFINITY, 1), (ZERO, -1)])
+def test_twist_coefficients_follow_the_docstring_recurrences(along, e):
+    zero, one = LaurentPoly2(), LaurentPoly2.monomial(1)
+    p, q, r = [zero, one], [one, zero], [zero, zero]
+    for j in range(2, 13):
+        p.append(_Z * p[-1] - p[-2])
+        q.append(_Z * q[-1] - q[-2])
+        r.append(_Z * r[-1] - r[-2] + LaurentPoly2.monomial(1, e * (j - 1), 1))
+    for k in range(1, 13):
+        assert kauffman._twist_coefficients(k, along) == (p[k], q[k], r[k]), k
 
 
 def test_mirror_substitutes_a_inverse():

@@ -234,13 +234,13 @@ def test_verify_code_walks_a_code_once_and_its_minimal_code_once(monkeypatch):
     # one walk gives the code's Lambda; the minimal code takes a second
     # walk unless the code is its own minimal code
     walks = []
-    real = kauffman._open_state
+    real = verify.lambda_code
 
     def counting(code):
         walks.append(code)
         return real(code)
 
-    monkeypatch.setattr(kauffman, "_open_state", counting)
+    monkeypatch.setattr(verify, "lambda_code", counting)
     for text, count in (("2", 1), ("3", 1), ("2 2", 1), ("2 1 1 2", 1), ("4 3", 2)):
         walks.clear()
         verify_code(_code(text))
@@ -251,15 +251,30 @@ def _wrong_prediction(monkeypatch):
     monkeypatch.setattr(verify, "predicted_u", lambda code: (0, 0, 0))
 
 
+def _wrong_step(monkeypatch, edit, axes=(1, -1)):
+    """Patch ``kauffman._twist`` by edit(x, (near', x', far'), e) on the given axes."""
+    real = kauffman._twist
+
+    def wrong(near, x, far, e):
+        out = real(near, x, far, e)
+        return edit(x, out, e) if e in axes else out
+
+    monkeypatch.setattr(kauffman, "_twist", wrong)
+
+
 def _wrong_horizontal_step(monkeypatch):
-    # X -> +H instead of -H on a horizontal site
-    real = kauffman._twist_horizontal
+    # X -> +H instead of -H on a horizontal site only
+    _wrong_step(monkeypatch, lambda x, out, e: (x,) + out[1:], axes=(1,))
 
-    def wrong(h, x, v):
-        _, x2, v2 = real(h, x, v)
-        return x, x2, v2
 
-    monkeypatch.setattr(kauffman, "_twist_horizontal", wrong)
+def _wrong_near_sign(monkeypatch):
+    # X -> +near instead of -near on every site
+    _wrong_step(monkeypatch, lambda x, out, e: (x,) + out[1:])
+
+
+def _wrong_far_dropped(monkeypatch):
+    # far -> 0 instead of far -> a^e far on every site
+    _wrong_step(monkeypatch, lambda x, out, e: out[:2] + (x.shift(a_exp=e, z_exp=1),))
 
 
 def _wrong_minimal_polynomial(monkeypatch):
@@ -279,6 +294,8 @@ def _wrong_minimal_polynomial(monkeypatch):
     [
         (_wrong_prediction, "theorem_match"),
         (_wrong_horizontal_step, "theorem_match"),
+        (_wrong_near_sign, "theorem_match"),
+        (_wrong_far_dropped, "theorem_match"),
         (_wrong_minimal_polynomial, "reduction_match"),
     ],
 )
