@@ -42,7 +42,9 @@ when e = -1: k - 1 of its ``_twist`` steps take (near, X, far) from X
 to (Q_k, P_k, R_k).  At k = 2 this is the skein relation at x_2.  All
 three children lose the region, D1 but for x_1, which keeps the lowest
 label, so the next step starts from it; a k-crossing twist costs one
-memo miss.
+memo miss.  The coefficients are a table fixed at import for every
+k <= MAX_SKEIN_CROSSINGS, so no call changes them.  Only the powers of
+the unlink value delta grow on demand: free loops put no bound on them.
 
 A diagram with no twist bigon is walked instead: the engine switches
 each crossing first met on its under strand, accumulating the skein
@@ -281,21 +283,6 @@ def _delta_power(k: int) -> LaurentPoly2:
     return _DELTA_POWERS[k]
 
 
-# (near, X, far) vectors, which are (Q_k, P_k, R_k), of horizontal (along
-# INFINITY) and vertical (along ZERO) twists of 1, 2, ... crossings
-_TWISTS = {INFINITY: [(_ZERO, _ONE, _ZERO)], ZERO: [(_ZERO, _ONE, _ZERO)]}
-
-
-def _twist_coefficients(k: int, along: str) -> tuple[LaurentPoly2, LaurentPoly2, LaurentPoly2]:
-    """(P_k, Q_k, R_k) of a twist region whose along smoothing is ``along``."""
-    twists = _TWISTS[along]
-    e = 1 if along == INFINITY else -1
-    while len(twists) < k:
-        twists.append(_twist(*twists[-1], e))
-    q, p, r = twists[k - 1]
-    return p, q, r
-
-
 def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
     """Kauffman regular-isotopy polynomial of a diagram.
 
@@ -337,11 +324,12 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
 
     A diagram with a twist bigon takes the twist-region step of the
     module docstring on ``diagram.twist_region`` and nothing else: the
-    region's k crossings go in one step, whose coefficients are k - 1
-    transfer steps of ``lambda_code`` on one crossing.  Its walk
-    is computed all the same and left unused: one ``_traversal_entries``
-    call per miss is how perfbench's tracer counts memo misses, so it
-    stays until the engine counts its own.
+    region's k crossings go in one step, whose coefficients, k - 1
+    transfer steps of ``lambda_code`` on one crossing, are row k of the
+    table ``_TWISTS``, fixed at import.  Its walk is computed all the
+    same and left unused: one ``_traversal_entries`` call per miss is
+    how perfbench's tracer counts memo misses, so it stays until the
+    engine counts its own.
 
     ``_traversal_entries`` gives the one walk of the diagram: each
     component from the base point and direction that meet the fewest
@@ -362,7 +350,7 @@ def _resolve(d: LinkDiagram, cache) -> LaurentPoly2:
     region = twist_region(d)
     if region is not None:
         k, along, (d1, d0, dc) = region
-        p, q, r = _twist_coefficients(k, along)
+        q, p, r = _TWISTS[along][k - 1]
         return p * _lambda(d1, cache) + q * _lambda(d0, cache) + r * _lambda(dc, cache)
     acc = _ZERO
     sign = 1
@@ -392,6 +380,18 @@ def _twist(near, x, far, e):
     """One more crossing on a site: near -> X, X -> -near + zX + z a^e far, far -> a^e far."""
     xz = x.shift(z_exp=1)
     return -x, near + xz, (xz + far).shift(a_exp=e)
+
+
+def _twist_rows(e):
+    """(near, X, far), which is (Q_k, P_k, R_k), for k = 1..MAX_SKEIN_CROSSINGS."""
+    rows = [(_ZERO, _ONE, _ZERO)]
+    while len(rows) < MAX_SKEIN_CROSSINGS:
+        rows.append(_twist(*rows[-1], e))
+    return tuple(rows)
+
+
+# twists along INFINITY (e = +1) and along ZERO (e = -1)
+_TWISTS = {INFINITY: _twist_rows(1), ZERO: _twist_rows(-1)}
 
 
 def lambda_code(code) -> LaurentPoly2:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +28,7 @@ from twistlab.diagram import (
     unlink,
 )
 from twistlab.kauffman import (
+    MAX_SKEIN_CROSSINGS,
     LaurentPoly2,
     TopDegreeMismatchError,
     delta_unlink,
@@ -32,7 +37,12 @@ from twistlab.kauffman import (
     staggered,
     truncate,
 )
-from twistlab.notation import continued_fraction, enumerate_standard, parse_conway
+from twistlab.notation import (
+    ConwayCode,
+    continued_fraction,
+    enumerate_standard,
+    parse_conway,
+)
 
 from helpers import (
     add_curl,
@@ -43,6 +53,8 @@ from helpers import (
     skein_calls,
     turks_head,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # no 2-gon face, so no twist bigon: the skein engine takes the walk
 BORROMEAN = [[1, 2, 3, 4], [5, 6, 2, 7], [6, 8, 9, 3], [10, 11, 8, 5], [11, 12, 4, 9], [7, 1, 12, 10]]
@@ -513,6 +525,19 @@ def test_standard_builds_have_the_fraction_numerator_as_determinant():
             assert determinant_squared(lambda_code(code)) == (p * p, 0, 0, 0), code
 
 
+def test_a_reversed_code_has_the_same_or_the_mirrored_polynomial():
+    # read backwards a code names the same rational link (Schubert); an
+    # even number of sites puts every site on the other axis, the mirror
+    counts = {0: 0, 1: 0}
+    for c in range(2, 13):
+        for code in enumerate_standard(c):
+            p = lambda_code(code)
+            reversed_p = lambda_code(ConwayCode(code.entries[::-1]))
+            assert reversed_p == (p if code.sites % 2 else p.mirror_a()), code
+            counts[code.sites % 2] += 1
+    assert counts == {0: 511, 1: 513}
+
+
 def test_scrambled_mirrors_have_the_fraction_numerator_as_determinant():
     rng = random.Random(6)
     for c in range(2, 9):
@@ -570,12 +595,37 @@ def test_one_twist_step_turned_is_the_vertical_relation():
 def test_twist_coefficients_follow_the_docstring_recurrences(along, e):
     zero, one = LaurentPoly2(), LaurentPoly2.monomial(1)
     p, q, r = [zero, one], [one, zero], [zero, zero]
-    for j in range(2, 13):
+    for j in range(2, MAX_SKEIN_CROSSINGS + 1):
         p.append(_Z * p[-1] - p[-2])
         q.append(_Z * q[-1] - q[-2])
         r.append(_Z * r[-1] - r[-2] + LaurentPoly2.monomial(1, e * (j - 1), 1))
-    for k in range(1, 13):
-        assert kauffman._twist_coefficients(k, along) == (p[k], q[k], r[k]), k
+    rows = kauffman._TWISTS[along]
+    assert type(rows) is tuple and len(rows) == MAX_SKEIN_CROSSINGS
+    for k in range(1, MAX_SKEIN_CROSSINGS + 1):
+        assert rows[k - 1] == (q[k], p[k], r[k]), k
+
+
+def test_a_patched_twist_step_leaves_the_skein_engine_as_it_was():
+    # a fresh interpreter, so no earlier call has built any twist
+    # coefficients: the step patched for one skein evaluation, an extra
+    # a^e on far, must not reach a later one once it is undone
+    script = "\n".join([
+        "from twistlab import kauffman",
+        "from twistlab.diagram import build_standard",
+        "from twistlab.notation import parse_conway",
+        "code = parse_conway('14')",
+        "step = kauffman._twist",
+        "def patched(near, x, far, e):",
+        "    near, x, far = step(near, x, far, e)",
+        "    return near, x, far.shift(a_exp=e)",
+        "kauffman._twist = patched",
+        "kauffman.lambda_poly(build_standard(code))",
+        "kauffman._twist = step",
+        "assert kauffman.lambda_poly(build_standard(code)) == kauffman.lambda_code(code)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_mirror_substitutes_a_inverse():
