@@ -22,7 +22,9 @@ that picture
 
 Equality of diagrams is up to renumbering of crossings and reversal
 of the global slot picture at each crossing by a half turn, which is
-what ``canonical_key`` quotients out.
+what ``canonical_key`` quotients out.  Its key hashes a label-free
+invariant, the sizes of the faces at the corners of every crossing, and
+tests isomorphism only when compared with a key of the same invariant.
 """
 
 from __future__ import annotations
@@ -348,7 +350,7 @@ def _bigon_partner(mate, c: int, twist: bool, skip=()) -> int:
     """The endpoint of crossing c whose arc starts a 2-gon face, or -1.
 
     Arcs 4c+s -> 4x+t and 4x+t+1 -> 4c+s-1 bound a 2-gon face under the
-    turn rule of ``_face_count``, in the corner between slots s-1 and s
+    turn rule of ``_face_sizes``, in the corner between slots s-1 and s
     of c; 4c+s is returned, and x is the crossing of its mate.  When s
     and t have equal parity one strand is over at both ends, a
     Reidemeister II bigon; when they differ the strands alternate, a
@@ -494,28 +496,71 @@ def build_standard(code) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def canonical_key(d: LinkDiagram) -> tuple:
-    """Label-independent fingerprint of the diagram.
+def canonical_key(d: LinkDiagram) -> DiagramKey:
+    """Label-independent key of the diagram, for hashing and equality.
 
-    Two diagrams get the same key exactly when one can be turned into
-    the other by renumbering crossings and giving some crossings a
-    half-turn slot relabel.  The key is the tuple ``(crossings,
-    free_loops, component_keys)``: the smallest ``_bfs_serial`` of each
-    crossing component over every start crossing and start rotation,
-    sorted.
+    Two diagrams get equal keys exactly when one can be turned into the
+    other by renumbering crossings and giving some crossings a
+    half-turn slot relabel.  Building a key walks the faces once and
+    searches nothing; see ``DiagramKey`` for how keys compare.
     """
-    mate = d.mate
-    comp_keys = []
-    for comp in _crossing_groups(mate):
-        best = None
-        for start in comp:
-            for rot0 in (0, 2):
-                cand = _bfs_serial(mate, start, rot0, best)
-                if cand is not None:
-                    best = cand
-        comp_keys.append(best)
-    comp_keys.sort()
-    return (d.crossings, d.free_loops, tuple(comp_keys))
+    return DiagramKey(d.mate, d.free_loops)
+
+
+class DiagramKey:
+    """A diagram up to crossing labels and half turns, hashed by a cheap invariant.
+
+    The hash is that of ``invariant``: the crossing count, the free
+    loops, and, for each crossing, the sizes of the faces in its four
+    corners read up to a half turn, sorted.  Equality compares the
+    invariants first.  When they agree, keys of the same matching are
+    equal, and any others are tested for isomorphism: each crossing
+    component of this key is serialized once from its lowest
+    crossing (``_bfs_serial``, cached on the key) and matched against
+    the unmatched components of the other key from every start crossing
+    and start rotation, each attempt stopping at the first edge that
+    differs.  Matching components greedily is enough, since isomorphism
+    is an equivalence relation.
+    """
+
+    __slots__ = ("mate", "invariant", "_hash", "_serials")
+
+    def __init__(self, mate: tuple, free_loops: int):
+        self.mate = mate
+        it = iter(_face_sizes(mate)[1])
+        corners = [(a, b, c, d) if (a, b) <= (c, d) else (c, d, a, b)
+                   for a, b, c, d in zip(it, it, it, it)]
+        corners.sort()
+        self.invariant = (len(mate) >> 2, free_loops, tuple(corners))
+        self._hash = hash(self.invariant)
+        self._serials = None
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, DiagramKey):
+            return NotImplemented
+        if self.invariant != other.invariant:
+            return False
+        if self.mate == other.mate:
+            return True
+        if self._serials is None:
+            self._serials = [_bfs_serial(self.mate, comp[0], 0)
+                             for comp in _crossing_groups(self.mate)]
+        mate = other.mate
+        left = _crossing_groups(mate)
+        for serial in self._serials:
+            for i, comp in enumerate(left):
+                if len(comp) << 2 == len(serial) and any(
+                    _bfs_serial(mate, start, rot0, serial)
+                    for start in comp for rot0 in (0, 2)
+                ):
+                    del left[i]
+                    break
+            else:
+                return False
+        return True
 
 
 def _crossing_groups(mate) -> list[list[int]]:
@@ -543,20 +588,18 @@ def _crossing_groups(mate) -> list[list[int]]:
     return groups
 
 
-def _bfs_serial(mate, start: int, rot0: int, best) -> tuple | None:
+def _bfs_serial(mate, start: int, rot0: int, target=None) -> tuple | None:
     """Serialize one crossing component from a chosen start and rotation.
 
     Crossings are renumbered in discovery order.  Each newly discovered
     crossing is given the half-turn rotation that brings its discovery
     slot into {0, 1}, so the serialization cannot depend on the input
     rotation state.  The edge at each slot is the int ``4 * index +
-    slot``, which orders as the pair ``(index, slot)`` does.
+    slot``.
 
-    ``best`` is the smallest serialization of the component found so
-    far, or None.  The result is returned only when it is smaller;
-    otherwise the walk returns None, early at the first edge that
-    exceeds the edge of ``best`` at the same position while every
-    earlier edge tied.
+    With a ``target`` serialization of the same length the walk returns
+    None at the first edge that differs from the target's edge at the
+    same position, and the serialization only when it equals the target.
     """
     n = len(mate) >> 2
     index = [-1] * n
@@ -565,7 +608,6 @@ def _bfs_serial(mate, start: int, rot0: int, best) -> tuple | None:
     rot[start] = rot0
     order = [start]
     edges = []
-    tied = best is not None
     for c in order:  # the list grows while it is walked
         b = 4 * c
         rc = rot[c]
@@ -578,35 +620,41 @@ def _bfs_serial(mate, start: int, rot0: int, best) -> tuple | None:
                 rot[x] = t & 2
                 order.append(x)
             v = 4 * i + ((t ^ rot[x]) & 3)
-            if tied:
-                w = best[len(edges)]
-                if v > w:
-                    return None
-                if v < w:
-                    tied = False
+            if target is not None and v != target[len(edges)]:
+                return None
             edges.append(v)
-    return None if tied else tuple(edges)
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
 # planar diagram codes
 
-def _face_count(d: LinkDiagram) -> int:
-    """Faces of the diagram's plane graph, counted per crossing component.
+def _face_sizes(mate) -> tuple[int, list[int]]:
+    """Faces of the diagram's plane graph, and the size of the face at each endpoint.
 
     Slots run counterclockwise, so following an arc to endpoint m and
     turning to slot m+1 of that crossing walks along one face boundary.
+    The face through endpoint 4c+s fills the corner of crossing c
+    between slots s-1 and s.  Faces are counted per crossing component.
     """
-    turn = [(m & ~3) | ((m + 1) & 3) for m in d.mate]
-    seen = bytearray(len(turn))
+    turn = [(m & ~3) | ((m + 1) & 3) for m in mate]
+    size = [0] * len(turn)
     faces = 0
     for e in range(len(turn)):
-        if not seen[e]:
-            faces += 1
-        while not seen[e]:
-            seen[e] = 1
-            e = turn[e]
-    return faces
+        if size[e]:
+            continue
+        faces += 1
+        k = 1
+        f = turn[e]
+        while f != e:  # once to measure the face, once to mark it
+            k += 1
+            f = turn[f]
+        size[e] = k
+        f = turn[e]
+        while f != e:
+            size[f] = k
+            f = turn[f]
+    return faces, size
 
 
 def parse_pd(pd) -> LinkDiagram:
@@ -639,7 +687,7 @@ def parse_pd(pd) -> LinkDiagram:
         e1, e2 = eps
         mate[e1], mate[e2] = e2, e1
     d = LinkDiagram._trusted(tuple(mate), 0)
-    if _face_count(d) != d.crossings + 2 * len(_crossing_groups(d.mate)):
+    if _face_sizes(d.mate)[0] != d.crossings + 2 * len(_crossing_groups(d.mate)):
         raise DiagramError("the pd code has no plane embedding (Euler count fails)")
     return d
 

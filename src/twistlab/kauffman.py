@@ -43,8 +43,10 @@ to (Q_k, P_k, R_k).  At k = 2 this is the skein relation at x_2.  All
 three children lose the region, D1 but for x_1, which keeps the lowest
 label, so the next step starts from it; a k-crossing twist costs one
 memo miss.  The coefficients are a table fixed at import for every
-k <= MAX_SKEIN_CROSSINGS, so no call changes them.  Only the powers of
-the unlink value delta grow on demand: free loops put no bound on them.
+k <= MAX_SKEIN_CROSSINGS, so no call changes them, and so are the
+powers of the unlink value delta up to delta^MAX_SKEIN_CROSSINGS.  A
+higher power, which only many free loops ask for, is summed afresh
+from its binomial expansion each time and never kept.
 
 A diagram with no twist bigon is walked instead: the engine switches
 each crossing first met on its under strand, accumulating the skein
@@ -59,9 +61,13 @@ of a knot diagram", J. Knot Theory Ramifications 19, 2010), and the
 components go in a greedy order, each passing under as few later ones
 as it can.  The cost is still exponential in crossings on diagrams
 with few bigons, such as the Borromean rings.  Subdiagrams are
-memoized by canonical key.  The memo is a fresh private dict per call
-unless the caller passes one in; TWISTLAB_CACHE=off disables it
-entirely, passed dicts included, which must never change any value.
+memoized by ``diagram.canonical_key``, one key per lookup.  A key
+hashes a label-free invariant of the faces and searches nothing when
+built; the isomorphism test runs inside the memo's dict probe, only
+when two keys with the same invariant meet.  The memo is a fresh
+private dict per call unless the caller passes one in;
+TWISTLAB_CACHE=off disables it entirely, passed dicts included, which
+must never change any value.
 
 The transfer-matrix engine (``lambda_code``) takes a Conway code and
 evaluates the standard build of ``diagram.build_standard`` with one
@@ -102,6 +108,7 @@ about x6-x9 for twice the crossings.  Larger codes raise NotationError.
 from __future__ import annotations
 
 import os
+from math import comb
 
 from .diagram import (
     INFINITY,
@@ -271,16 +278,28 @@ _ONE = LaurentPoly2.monomial(1)
 
 def delta_unlink() -> LaurentPoly2:
     """Value of a two-component crossingless unlink: (a + 1/a)/z - 1."""
-    return LaurentPoly2({(1, -1): 1, (-1, -1): 1, (0, 0): -1})
+    return _DELTA_POWERS[1]
 
 
-_DELTA_POWERS = [_ONE, delta_unlink()]
+def _delta_sum(k: int) -> LaurentPoly2:
+    """delta^k as the binomial sum of ((a + 1/a)/z - 1)^k.
+
+    delta^k = sum over j <= k and i <= j of C(k, j) (-1)^(k-j) C(j, i)
+    a^(j-2i) z^-j, each (j, i) its own monomial.
+    """
+    return LaurentPoly2({
+        (j - 2 * i, -j): comb(k, j) * comb(j, i) * (-1) ** (k - j)
+        for j in range(k + 1) for i in range(j + 1)
+    })
+
+
+# delta^0..delta^MAX_SKEIN_CROSSINGS, fixed at import; standard builds,
+# their sums and Turk's heads ask for no more than delta^2
+_DELTA_POWERS = tuple(_delta_sum(k) for k in range(MAX_SKEIN_CROSSINGS + 1))
 
 
 def _delta_power(k: int) -> LaurentPoly2:
-    while len(_DELTA_POWERS) <= k:
-        _DELTA_POWERS.append(_DELTA_POWERS[-1] * _DELTA_POWERS[1])
-    return _DELTA_POWERS[k]
+    return _DELTA_POWERS[k] if k < len(_DELTA_POWERS) else _delta_sum(k)
 
 
 def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:

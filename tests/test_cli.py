@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -16,10 +17,10 @@ import pytest
 from twistlab import cli
 from twistlab.cli import main
 from twistlab.kauffman import LaurentPoly2, lambda_poly
-from twistlab.diagram import build_standard, connected_sum, mirror, to_pd
-from twistlab.notation import parse_conway
+from twistlab.diagram import DiagramKey, build_standard, connected_sum, mirror, to_pd
+from twistlab.notation import enumerate_standard, parse_conway
 
-from helpers import DATA, skein_calls
+from helpers import DATA, relabel, skein_calls
 
 FIXTURES = str(DATA / "links.jsonl")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -361,6 +362,40 @@ def test_cache_env_does_not_change_output(monkeypatch, capsys):
     with_cache = capsys.readouterr().out
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
     assert main(["compute", "2 1 2", "--json"]) == 0
+    assert capsys.readouterr().out == with_cache
+
+
+def test_a_shared_memo_does_not_change_pd_output(monkeypatch, tmp_path, capsys):
+    # one memo serves the whole file, so keys of different diagrams that
+    # hash alike meet in it and only the isomorphism test tells them
+    # apart; builds of up to 9 crossings make no such meeting
+    rng = random.Random(29)
+    lines = []
+    for c in range(3, 11):
+        for code in enumerate_standard(c):
+            for d in (build_standard(code), mirror(build_standard(code))):
+                perm = list(range(d.crossings))
+                rng.shuffle(perm)
+                d = relabel(d, perm, [rng.choice([0, 2]) for _ in perm])
+                lines.append(json.dumps({"name": f"{code} {len(lines)}", "pd": to_pd(d)}))
+    path = tmp_path / "builds.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["pd", "--file", str(path), "--json"]
+    monkeypatch.delenv("TWISTLAB_CACHE", raising=False)
+    unequal = []
+    real = DiagramKey.__eq__
+
+    def counting(key, other):
+        same = real(key, other)
+        unequal.append(not same)
+        return same
+
+    monkeypatch.setattr(DiagramKey, "__eq__", counting)
+    assert main(argv) == 0
+    with_cache = capsys.readouterr().out
+    assert any(unequal)
+    monkeypatch.setenv("TWISTLAB_CACHE", "off")
+    assert main(argv) == 0
     assert capsys.readouterr().out == with_cache
 
 

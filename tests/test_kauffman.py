@@ -186,9 +186,27 @@ def test_pretty_formats():
 # base values
 
 def test_unknot_and_unlinks():
-    assert lambda_poly(unlink(1)) == LaurentPoly2.monomial(1)
-    assert lambda_poly(unlink(2)) == delta_unlink()
-    assert lambda_poly(unlink(3)) == delta_unlink() * delta_unlink()
+    # past delta^MAX_SKEIN_CROSSINGS the table ends and the binomial sum
+    # takes over
+    power = LaurentPoly2.monomial(1)
+    for loops in range(1, MAX_SKEIN_CROSSINGS + 6):
+        assert lambda_poly(unlink(loops)) == power, loops
+        power = power * delta_unlink()
+
+
+def test_free_loops_leave_the_delta_table_as_it_was():
+    # a fresh interpreter, so the table is as import built it
+    script = "\n".join([
+        "from twistlab import kauffman",
+        "from twistlab.diagram import unlink",
+        "table = kauffman._DELTA_POWERS",
+        "size = len(table)",
+        "assert len(kauffman.lambda_poly(unlink(60)).terms()) == 60 * 61 // 2",
+        "assert kauffman._DELTA_POWERS is table and len(table) == size",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_empty_diagram_has_no_value():
@@ -338,6 +356,15 @@ def test_engine_work_on_scrambled_builds_is_fixed(monkeypatch):
             return real(d)
 
         monkeypatch.setattr(kauffman, name, counting)
+    serials = 0
+    real_serial = diagram._bfs_serial
+
+    def serial(*args):
+        nonlocal serials
+        serials += 1
+        return real_serial(*args)
+
+    monkeypatch.setattr(diagram, "_bfs_serial", serial)
     rng = random.Random(83)
     for code in enumerate_standard(8):
         for d in (build_standard(code), mirror(build_standard(code))):
@@ -347,6 +374,10 @@ def test_engine_work_on_scrambled_builds_is_fixed(monkeypatch):
     # 1484 and 682, and a twist step of one crossing at each miss 1642,
     # 1134 and 526; a whole twist region at each miss cuts them
     assert calls == {"remove_curls": 1222, "canonical_key": 650, "_traversal_entries": 386}
+    # serializations of a crossing component: keys searched for their
+    # smallest over every start took 5548; a key now serializes only
+    # when it meets a key of the same invariant but another matching
+    assert serials == 232
 
 
 def _twist_chain(c):
