@@ -15,7 +15,6 @@ from .diagram import (
     canonical_key,
     components,
     connected_sum,
-    diagram_from_arcs,
     is_alternating,
     mirror,
     parse_pd,

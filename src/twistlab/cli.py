@@ -127,7 +127,7 @@ def cmd_sum(args):
 
 def cmd_pd(args):
     expected = None
-    if args.expect:
+    if args.expect is not None:
         fields = _FIELDS.split(args.expect.strip())
         parts = [parse_int(x, "--expect value") for x in fields if x]
         if len(fields) != 3 or len(parts) != 3 or min(parts) < 0:

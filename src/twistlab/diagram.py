@@ -6,6 +6,8 @@ endpoints 4c..4c+3, one per slot, slots numbered counterclockwise; the
 strand through slots 0 and 2 passes under the strand through slots 1
 and 3.  A strand entering at slot s leaves at slot s+2 (mod 4), so the
 matching plus this transit rule determines every strand walk.
+A valid diagram is plane as well: ``LinkDiagram`` checks every diagram
+from outside the package, and the engine's builders preserve it.
 
 All handedness conventions follow from one planar picture: slot k of a
 crossing sits at angle 90k - 45 degrees from east, putting slot 0 at
@@ -29,7 +31,7 @@ tests isomorphism only when compared with a key of the same invariant.
 
 from __future__ import annotations
 
-from .notation import _shown, crossing_axes
+from .notation import _is_int, _shown, crossing_axes
 
 ZERO = "zero"
 INFINITY = "infinity"
@@ -44,10 +46,11 @@ class LinkDiagram:
 
     Public construction validates: ``LinkDiagram(mate, free_loops)``
     rejects a matching that is not a fixed-point-free involution on a
-    multiple of four endpoints, or a loop count that is not a
-    nonnegative int.  The skein engine builds many diagrams from
-    matchings that are valid by construction (smoothings, switches,
-    simplifications); those go through ``_trusted``, which skips the
+    multiple of four endpoints or has no plane embedding (by Euler's
+    formula each component with n crossings bounds n + 2 faces), or a
+    loop count that is not a nonnegative int.  The skein engine's
+    builders (smoothings, switches, splices, simplifications) keep a
+    valid diagram valid; they go through ``_trusted``, which skips the
     checks and is for results built inside the package only.
     """
 
@@ -58,20 +61,22 @@ class LinkDiagram:
         if len(mate) % 4:
             raise DiagramError("endpoint count must be a multiple of four")
         for e, m in enumerate(mate):
-            if not isinstance(m, int) or not 0 <= m < len(mate):
+            if not _is_int(m) or not 0 <= m < len(mate):
                 raise DiagramError(f"endpoint {e} matched out of range: {_shown(m)}")
             if m == e or mate[m] != e:
                 raise DiagramError(f"matching is not a fixed-point-free involution at {e}")
-        if not isinstance(free_loops, int) or isinstance(free_loops, bool):
+        if not _is_int(free_loops):
             raise DiagramError(f"free loop count must be an int, got {_shown(free_loops)}")
         if free_loops < 0:
             raise DiagramError("free loop count cannot be negative")
+        if _face_sizes(mate)[0] != len(mate) // 4 + 2 * len(_crossing_groups(mate)):
+            raise DiagramError("the diagram has no plane embedding (Euler count fails)")
         self.mate = mate
         self.free_loops = free_loops
 
     @classmethod
     def _trusted(cls, mate: tuple, free_loops: int) -> LinkDiagram:
-        """Diagram from a matching built inside the package, not checked."""
+        """Diagram from a valid, plane matching built inside the package, not checked."""
         d = object.__new__(cls)
         d.mate = mate
         d.free_loops = free_loops
@@ -91,21 +96,6 @@ class LinkDiagram:
 
     def __repr__(self):
         return f"<LinkDiagram crossings={self.crossings} loops={self.free_loops}>"
-
-
-def diagram_from_arcs(crossing_count, arcs, free_loops=0) -> LinkDiagram:
-    """Build a diagram from arcs given as ((crossing, slot), (crossing, slot))."""
-    mate = [-1] * (4 * crossing_count)
-    for (c1, s1), (c2, s2) in arcs:
-        e1, e2 = 4 * c1 + s1, 4 * c2 + s2
-        if not (0 <= e1 < len(mate) and 0 <= e2 < len(mate)):
-            raise DiagramError(f"arc endpoint out of range: {_shown(((c1, s1), (c2, s2)))}")
-        if mate[e1] != -1 or mate[e2] != -1 or e1 == e2:
-            raise DiagramError(f"slot used twice in arc list near {(c1, s1)}")
-        mate[e1], mate[e2] = e2, e1
-    if any(m == -1 for m in mate):
-        raise DiagramError("arc list leaves open slots")
-    return LinkDiagram(tuple(mate), free_loops)
 
 
 def unlink(components: int) -> LinkDiagram:
@@ -255,7 +245,7 @@ _STRAIGHT = ((0, 2), (1, 3))
 
 
 def _check_crossing(d: LinkDiagram, crossing: int) -> None:
-    if not isinstance(crossing, int) or not 0 <= crossing < d.crossings:
+    if not _is_int(crossing) or not 0 <= crossing < d.crossings:
         raise DiagramError(f"no crossing {_shown(crossing)} in {d!r}")
 
 
@@ -268,7 +258,8 @@ def _excise(d: LinkDiagram, bridges) -> LinkDiagram:
     from a kept endpoint is rejoined by walking arc-bridge-arc chains
     through removed endpoints until a kept endpoint is reached; a chain
     that closes up among removed endpoints becomes a free circle.  The
-    result is a valid matching by construction and is not checked again.
+    result is not checked again: smoothings and Reidemeister II pairs of
+    straight bridges leave a valid, plane matching (one alone would not).
     """
     mate = d.mate
     link = [-1] * len(mate)  # bridge partner of each removed endpoint
@@ -441,8 +432,8 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
 
     The first arc of a diagram is the one through endpoint 0.  Cutting
     both and rejoining crosswise merges one component of each diagram.
-    A crossingless circle acts as the identity.  A splice of two valid
-    matchings is valid, so the result is not checked again.
+    A crossingless circle acts as the identity.  A splice of two valid,
+    plane matchings is valid and plane, so the result is not checked again.
     """
     for d in (d1, d2):
         if d.crossings == 0 and d.free_loops == 0:
@@ -664,9 +655,8 @@ def parse_pd(pd) -> LinkDiagram:
     positions map to slots 0..3, so position 0 is the incoming under
     strand and labels are listed counterclockwise from it.  Every label
     must appear exactly twice across the whole code, which gives every
-    endpoint one partner, and the code must describe a plane diagram:
-    by Euler's formula each connected component with n crossings bounds
-    n + 2 faces.
+    endpoint one partner, and the matching that results goes through
+    ``LinkDiagram``, which refuses one with no plane embedding.
     """
     if not isinstance(pd, (list, tuple)) or not all(
         isinstance(t, (list, tuple)) and all(type(x) in (int, str) for x in t) for t in pd
@@ -686,14 +676,13 @@ def parse_pd(pd) -> LinkDiagram:
             raise DiagramError(f"arc label {_shown(label)} appears {len(eps)} times")
         e1, e2 = eps
         mate[e1], mate[e2] = e2, e1
-    d = LinkDiagram._trusted(tuple(mate), 0)
-    if _face_sizes(d.mate)[0] != d.crossings + 2 * len(_crossing_groups(d.mate)):
-        raise DiagramError("the pd code has no plane embedding (Euler count fails)")
-    return d
+    return LinkDiagram(mate)
 
 
 def to_pd(d: LinkDiagram) -> list[list[int]]:
-    """Planar diagram code of d, arcs labelled 1..2c by first appearance."""
+    """Planar diagram code of d, arcs labelled 1..2c by first appearance; no free loops."""
+    if d.free_loops:
+        raise DiagramError(f"a pd code cannot hold the free loops of {d!r}")
     label: dict[int, int] = {}
     nxt = 1
     for e in range(len(d.mate)):

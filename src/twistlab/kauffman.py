@@ -317,7 +317,7 @@ def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
     if d.crossings == 0 and d.free_loops == 0:
         # checked once: every excision below leaves a crossing or a loop
         raise DiagramError("the empty diagram has no polynomial")
-    if os.environ.get(_CACHE_ENV, "").strip().lower() in {"off", "0", "false", "no"}:
+    if os.environ.get(_CACHE_ENV) == "off":
         cache = None
     elif cache is None:
         cache = {}

@@ -34,6 +34,11 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool, the rule for every count and index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class NotationError(ValueError):
     """Invalid Conway code input, or a code past the transfer walk's budget."""
 
@@ -51,7 +56,7 @@ class ConwayCode:
         if not self.entries:
             raise NotationError("a Conway code needs at least one entry")
         for e in self.entries:
-            if not isinstance(e, int) or isinstance(e, bool):
+            if not _is_int(e):
                 raise NotationError(f"entry {_shown(e)} is not an integer")
             if e < 1:
                 raise NotationError(f"twist counts must be positive, got {_shown(e)}")

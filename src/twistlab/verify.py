@@ -139,7 +139,7 @@ def check_diagram(
     the only check, and ``failure`` says why.
     """
     p = lambda_poly(d, cache)
-    rep = VerificationReport(input=name, crossings=d.crossings)
+    rep = VerificationReport(input=name, crossings=d.crossings, polynomial=p)
     try:
         u = truncate(p, d.crossings)
     except TopDegreeMismatchError as exc:

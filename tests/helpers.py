@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 from twistlab import kauffman
-from twistlab.diagram import LinkDiagram, diagram_from_arcs, parse_pd
+from twistlab.diagram import _SMOOTH_PAIRS, LinkDiagram, _excise, parse_pd
 from twistlab import (
     INFINITY,
     ZERO,
@@ -35,7 +36,10 @@ def pretzel(*twists: int) -> LinkDiagram:
     for c1, c2 in zip(corners, corners[1:]):
         arcs += [(c1["NE"], c2["NW"]), (c1["SE"], c2["SW"])]
     arcs += [(corners[0]["NW"], corners[-1]["NE"]), (corners[0]["SW"], corners[-1]["SE"])]
-    return diagram_from_arcs(cr, arcs)
+    mate = [0] * (4 * cr)
+    for (c1, s1), (c2, s2) in arcs:
+        mate[4 * c1 + s1], mate[4 * c2 + s2] = 4 * c2 + s2, 4 * c1 + s1
+    return LinkDiagram(mate)
 
 
 def turks_head(n: int) -> LinkDiagram:
@@ -106,6 +110,43 @@ def determinant_squared(p: kauffman.LaurentPoly2) -> tuple:
         value = [u + t for u, t in zip(value, term)]
     c0, c1, c2, c3 = value
     return tuple(_cyclotomic_mul(value, [c0, -c3, -c2, -c1]))
+
+
+def a_mul(x: dict, y: dict) -> dict:
+    """Product of Laurent polynomials in A given as {exponent: coefficient}, zeros dropped."""
+    out: dict[int, int] = {}
+    for i, c in x.items():
+        for j, b in y.items():
+            out[i + j] = out.get(i + j, 0) + c * b
+    return {e: c for e, c in out.items() if c}
+
+
+def a_power(x: dict, k: int) -> dict:
+    out = {0: 1}
+    for _ in range(k):
+        out = a_mul(out, x)
+    return out
+
+
+def bracket(d: LinkDiagram) -> dict:
+    """Kauffman bracket of d from its state sum, as {exponent of A: coefficient}.
+
+    The sum over the 2^c states, each crossing smoothed by ZERO (the
+    A-smoothing in this slot picture) or INFINITY, of
+    A^(#ZERO - #INFINITY) (-A^2 - A^-2)^(loops - 1).  A state's loops
+    are counted by one ``_excise`` of every crossing; nothing else is
+    shared with the skein engine or the transfer walk.
+    """
+    n = d.crossings
+    states = Counter()
+    for bits in range(1 << n):
+        bridges = {c: _SMOOTH_PAIRS[ZERO if bits >> c & 1 else INFINITY] for c in range(n)}
+        states[2 * bin(bits).count("1") - n, _excise(d, bridges).free_loops - 1] += 1
+    out: dict[int, int] = {}
+    for (shift, k), m in states.items():
+        for e, c in a_power({2: -1, -2: -1}, k).items():
+            out[shift + e] = out.get(shift + e, 0) + m * c
+    return {e: c for e, c in out.items() if c}
 
 
 def relabel(d: LinkDiagram, perm, rots=None) -> LinkDiagram:

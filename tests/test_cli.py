@@ -136,7 +136,7 @@ def test_input_errors_exit_two(capsys):
     assert main(["pd", "--file", "/no/such/file.jsonl"]) == 2
     assert main(["pd", "--file", FIXTURES, "--expect", "1,2"]) == 2
     capsys.readouterr()
-    for expect in ("1,,2,3", "1,2,3,"):
+    for expect in ("1,,2,3", "1,2,3,", ""):
         assert main(["pd", "--file", FIXTURES, "--expect", expect]) == 2
         assert capsys.readouterr().err.startswith("error: --expect wants three ")
 

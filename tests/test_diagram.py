@@ -19,7 +19,6 @@ from twistlab.diagram import (
     canonical_key,
     components,
     connected_sum,
-    diagram_from_arcs,
     is_alternating,
     mirror,
     parse_pd,
@@ -170,13 +169,20 @@ def test_unlink_and_validation():
         LinkDiagram((1, 0, 3), 0)  # not a multiple of four
     with pytest.raises(DiagramError):
         LinkDiagram((0, 1, 3, 2), 0)  # fixed point
-    with pytest.raises(DiagramError):
-        diagram_from_arcs(1, [((0, 0), (0, 1)), ((0, 1), (0, 2))])
+    with pytest.raises(DiagramError, match="matched out of range: True"):
+        LinkDiagram((True, False, 3, 2))
+    # crossing 1 joins opposite slots: two circles that cross once, which
+    # no plane diagram has; Lambda of it would have z^-2 terms
+    with pytest.raises(DiagramError, match="no plane embedding"):
+        LinkDiagram((1, 0, 3, 2, 6, 7, 4, 5))
 
 
-def test_arcs_must_fill_every_slot():
-    with pytest.raises(DiagramError, match="open slots"):
-        diagram_from_arcs(1, [((0, 0), (0, 1))])
+def test_crossings_are_ints_not_bools():
+    tre = _build("3")
+    with pytest.raises(DiagramError, match="no crossing True"):
+        smooth(tre, True, ZERO)
+    with pytest.raises(DiagramError, match="no crossing True"):
+        switch(tre, True)
 
 
 def test_loop_counts_must_be_nonnegative_ints():
@@ -364,8 +370,7 @@ def test_one_excision_counts_every_closed_chain():
     clasp = switch(_build("2"), 0)
     assert diagram._excise(clasp, {0: diagram._STRAIGHT, 1: diagram._STRAIGHT}) == unlink(2)
     # a 2-crossing unlink of two kinked circles, beside one free circle
-    arcs = [((c, s), (c, s + 1)) for c in (0, 1) for s in (0, 2)]
-    two = diagram_from_arcs(2, arcs, 1)
+    two = LinkDiagram((1, 0, 3, 2, 5, 4, 7, 6), 1)
     for mode, loops in ((INFINITY, 3), (ZERO, 5)):
         pairs = diagram._SMOOTH_PAIRS[mode]
         assert diagram._excise(two, {0: pairs, 1: pairs}) == unlink(loops)
@@ -384,15 +389,16 @@ def test_one_excision_equals_successive_smoothings():
 
 
 def test_internal_diagrams_are_valid_matchings():
-    # the engine's builders, parse_pd and connected_sum skip validation,
-    # so the public constructor must accept everything they make
+    # the engine's builders skip validation, so the public constructor,
+    # plane check included, must accept everything they make; a pd code
+    # holds no free loop, so the loops are dropped before to_pd
     rng = random.Random(37)
-    modes = (diagram._SMOOTH_PAIRS[ZERO], diagram._SMOOTH_PAIRS[INFINITY], diagram._STRAIGHT)
+    modes = (diagram._SMOOTH_PAIRS[ZERO], diagram._SMOOTH_PAIRS[INFINITY])
     pool = random_diagrams(60, seed=41)
     for d in pool:
         perm = list(range(d.crossings))
         rng.shuffle(perm)
-        pd = to_pd(mirror(relabel(d, perm, [rng.choice([0, 2]) for _ in perm])))
+        pd = to_pd(mirror(relabel(LinkDiagram(d.mate), perm, [rng.choice([0, 2]) for _ in perm])))
         labels = sorted({x for row in pd for x in row})
         fresh = [7 * x for x in labels] + [f"a{x}" for x in labels]
         names = dict(zip(labels, rng.sample(fresh, len(labels))))
@@ -411,6 +417,11 @@ def test_internal_diagrams_are_valid_matchings():
             made += region[2]
         for r in made:
             LinkDiagram(r.mate, r.free_loops)
+    # a straight bridge alone makes a virtual crossing, which only the
+    # Reidemeister II excision's pair of them avoids
+    lone = diagram._excise(_build("3"), {0: diagram._STRAIGHT})
+    with pytest.raises(DiagramError, match="no plane embedding"):
+        LinkDiagram(lone.mate, lone.free_loops)
 
 
 def test_twist_region_takes_the_whole_twist():
@@ -443,9 +454,9 @@ def test_bigon_cancellation_ignores_crossing_labels():
 
 def test_single_kink_on_unknot():
     # a one-crossing unknot: slots 0-1 and 2-3 joined
-    ring = diagram_from_arcs(1, [((0, 0), (0, 1)), ((0, 2), (0, 3))])
+    ring = LinkDiagram((1, 0, 3, 2))
     assert remove_curls(ring) == (unlink(1), 1)
-    ringneg = diagram_from_arcs(1, [((0, 1), (0, 2)), ((0, 3), (0, 0))])
+    ringneg = LinkDiagram((3, 2, 1, 0))
     assert remove_curls(ringneg) == (unlink(1), -1)
 
 
@@ -568,6 +579,13 @@ def test_pd_round_trip():
         assert parse_pd(to_pd(d)) == d
 
 
+def test_to_pd_refuses_free_loops():
+    # a pd code has no way to write a free circle
+    for d in (LinkDiagram(_build("3").mate, 2), unlink(3)):
+        with pytest.raises(DiagramError, match="free loops"):
+            to_pd(d)
+
+
 def test_pd_labels_appear_twice():
     pd = to_pd(_build("2 2"))
     flat = [x for row in pd for x in row]
@@ -622,10 +640,9 @@ HUGE = 10**5000  # past Python's 4300-digit limit for turning an int into text
         (lambda: smooth(_build("3"), HUGE, ZERO), r"no crossing <\d+-bit int> in"),
         (lambda: smooth(_build("3"), 0, HUGE), r"unknown smoothing mode <\d+-bit int>"),
         (lambda: switch(_build("3"), -HUGE), r"no crossing <\d+-bit int> in"),
-        (lambda: diagram_from_arcs(1, [((HUGE, 0), (0, 1))]), r"out of range: \(\(<\d+-bit int>"),
     ],
     ids=["dangling_label", "label_count", "matching", "smooth_crossing", "smooth_mode",
-         "switch_crossing", "arc_endpoint"],
+         "switch_crossing"],
 )
 def test_error_messages_show_ints_too_long_to_print(make, message):
     # an f-string of such an int raises a plain ValueError of its own

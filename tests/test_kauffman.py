@@ -45,7 +45,10 @@ from twistlab.notation import (
 )
 
 from helpers import (
+    a_mul,
+    a_power,
     add_curl,
+    bracket,
     determinant_squared,
     pretzel,
     random_diagrams,
@@ -590,6 +593,36 @@ def test_turks_heads_have_the_wheel_spanning_tree_count_as_determinant():
         assert determinant_squared(lambda_poly(turks_head(n))) == (trees * trees, 0, 0, 0), n
 
 
+def test_lambda_at_the_bracket_point_is_the_state_sum():
+    # Lambda(a = -A^3, z = A + 1/A) is the Kauffman bracket (Kauffman,
+    # "State models and the Jones polynomial", Topology 26, 1987); both
+    # sides are taken times (A + 1/A)^N to clear z^-1.  The twist-free
+    # Turk's heads and their switchings take the walk, so the walk's
+    # values are checked against something other than a digest
+    rng = random.Random(43)
+    pool = [code for c in range(3, 11) for code in enumerate_standard(c)]
+    diagrams = []
+    for code in rng.sample(pool, 40):
+        d = build_standard(code)
+        for c in rng.sample(range(d.crossings), rng.randrange(d.crossings)):
+            d = switch(d, c)
+        diagrams += [d, mirror(d)]
+    for n in (3, 4, 5):
+        d = turks_head(n)
+        diagrams += [d] + [switch(d, c) for c in range(d.crossings)]
+    diagrams += random_diagrams(40, seed=47)
+    z = {1: 1, -1: 1}
+    for d in diagrams:
+        p = lambda_poly(d)
+        n = max(0, -min(z_exp for _, z_exp, _ in p.terms()))
+        value: dict[int, int] = {}
+        for a_exp, z_exp, coeff in p.terms():
+            for e, c in a_power(z, z_exp + n).items():
+                k = 3 * a_exp + e
+                value[k] = value.get(k, 0) + (-coeff if a_exp % 2 else coeff) * c
+        assert {e: c for e, c in value.items() if c} == a_mul(bracket(d), a_power(z, n)), d
+
+
 _Z = LaurentPoly2.monomial(1, 0, 1)
 _A = LaurentPoly2.monomial(1, 1, 0)
 _A_INV = LaurentPoly2.monomial(1, -1, 0)
@@ -747,6 +780,13 @@ def test_cache_off_gives_identical_values(monkeypatch):
     with_cache = lambda_poly(d)
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
     assert lambda_poly(d) == with_cache
+
+
+def test_only_off_turns_the_memo_off(monkeypatch):
+    monkeypatch.setenv("TWISTLAB_CACHE", "0")
+    memo = {}
+    lambda_poly(_build("2 1 2"), memo)
+    assert memo
 
 
 def test_cache_off_leaves_a_passed_dict_empty(monkeypatch):
