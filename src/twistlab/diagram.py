@@ -42,7 +42,7 @@ class DiagramError(ValueError):
 
 
 class LinkDiagram:
-    """Immutable diagram: endpoint matching and free circles.
+    """Immutable diagram: endpoint matching and free circles, both read-only.
 
     Public construction validates: ``LinkDiagram(mate, free_loops)``
     rejects a matching that is not a fixed-point-free involution on a
@@ -51,12 +51,17 @@ class LinkDiagram:
     loop count that is not a nonnegative int.  The skein engine's
     builders (smoothings, switches, splices, simplifications) keep a
     valid diagram valid; they go through ``_trusted``, which skips the
-    checks and is for results built inside the package only.
+    checks and is for results built inside the package only.  It and the
+    constructor are all that write the slots behind the two properties.
     """
 
-    __slots__ = ("mate", "free_loops")
+    __slots__ = ("_mate", "_free_loops")
+    mate = property(lambda self: self._mate)
+    free_loops = property(lambda self: self._free_loops)
 
     def __init__(self, mate, free_loops=0):
+        if not isinstance(mate, (list, tuple)):
+            raise DiagramError(f"a matching is a list or tuple, got {type(mate).__name__}")
         mate = tuple(mate)
         if len(mate) % 4:
             raise DiagramError("endpoint count must be a multiple of four")
@@ -71,20 +76,20 @@ class LinkDiagram:
             raise DiagramError("free loop count cannot be negative")
         if _face_sizes(mate)[0] != len(mate) // 4 + 2 * len(_crossing_groups(mate)):
             raise DiagramError("the diagram has no plane embedding (Euler count fails)")
-        self.mate = mate
-        self.free_loops = free_loops
+        self._mate = mate
+        self._free_loops = free_loops
 
     @classmethod
     def _trusted(cls, mate: tuple, free_loops: int) -> LinkDiagram:
         """Diagram from a valid, plane matching built inside the package, not checked."""
         d = object.__new__(cls)
-        d.mate = mate
-        d.free_loops = free_loops
+        d._mate = mate
+        d._free_loops = free_loops
         return d
 
     @property
     def crossings(self) -> int:
-        return len(self.mate) // 4
+        return len(self._mate) // 4
 
     def __eq__(self, other):
         if not isinstance(other, LinkDiagram):

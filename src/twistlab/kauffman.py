@@ -99,10 +99,10 @@ and, with the budget lifted, at most 10 ms at 15 and 16; the build of
 few twist bigons still cost time exponential in crossings, so the
 budget stays.  Larger diagrams raise
 DiagramError.  The transfer walk takes at most MAX_CODE_CROSSINGS =
-200 crossings: the polynomials grow with the code, so verify_code takes
-0.24-0.32 s on 2 1x96 2 (100 crossings) and 1.8-2.2 s on 2 1x196 2 (200),
-medians of five calls in two runs on a 2-vCPU Xeon VM with Python 3.11.7,
-about x6-x9 for twice the crossings.  Larger codes raise NotationError.
+200 crossings: it takes one step per crossing, and every step touches
+every term of polynomials that grow with the code, so verify_code's
+time grows about as the cube of the crossings (x6 to x10 from 2 1x96 2
+to 2 1x196 2, 100 to 200 crossings).  Larger codes raise NotationError.
 """
 
 from __future__ import annotations

@@ -49,10 +49,11 @@ class ConwayCode:
     Entries may come as any sequence of ints; they are kept as a tuple.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("_entries",)
+    entries = property(lambda self: self._entries)
 
     def __init__(self, entries: tuple[int, ...]) -> None:
-        object.__setattr__(self, "entries", tuple(entries))
+        self._entries = tuple(entries)
         if not self.entries:
             raise NotationError("a Conway code needs at least one entry")
         for e in self.entries:
@@ -64,14 +65,6 @@ class ConwayCode:
             raise NotationError(
                 f"end sites need at least two crossings: {_shown(self.entries)}"
             )
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (ConwayCode, (self.entries,))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -111,6 +104,8 @@ def parse_conway(text: str) -> ConwayCode:
 
     Each count is read by ``parse_int``, and an empty field is refused.
     """
+    if not isinstance(text, str):
+        raise NotationError(f"a Conway code is parsed from text, got {type(text).__name__}")
     fields = _FIELDS.split(text.strip())
     if fields == [""]:
         raise NotationError("no twist counts given")
@@ -184,6 +179,8 @@ def enumerate_standard(crossings: int) -> list[ConwayCode]:
     that the last must reach 2.  Generation is depth-first with entries
     tried in increasing order, which yields lexicographic order.
     """
+    if not _is_int(crossings):
+        raise NotationError(f"crossing count must be an int, got {_shown(crossings)}")
     if crossings < 2:
         raise NotationError("standard-format codes need at least two crossings")
     out: list[ConwayCode] = []

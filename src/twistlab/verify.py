@@ -28,6 +28,7 @@ from .kauffman import (
 from .notation import (
     ConwayCode,
     NotationError,
+    _is_int,
     _shown,
     enumerate_standard,
     minimal_code,
@@ -208,6 +209,8 @@ def sweep(max_crossings: int) -> list[VerificationReport]:
     There are 2^(N-2) codes up to N crossings, so a sweep above
     MAX_SWEEP_CROSSINGS is refused up front rather than left running.
     """
+    if not _is_int(max_crossings):
+        raise NotationError(f"crossing count must be an int, got {_shown(max_crossings)}")
     if max_crossings < 2:
         raise NotationError("standard-format codes need at least two crossings")
     if max_crossings > MAX_SWEEP_CROSSINGS:

@@ -42,6 +42,17 @@ def pretzel(*twists: int) -> LinkDiagram:
     return LinkDiagram(mate)
 
 
+def signed_pretzel(cols) -> LinkDiagram:
+    """``pretzel`` of the column sizes |cols|, every crossing of a negative column switched."""
+    d, first = pretzel(*map(abs, cols)), 0
+    for m in cols:
+        if m < 0:
+            for c in range(first, first - m):
+                d = switch(d, c)
+        first += abs(m)
+    return d
+
+
 def turks_head(n: int) -> LinkDiagram:
     """The closed 3-braid (s1 s2^-1)^n; n = 3 is the Borromean rings.
 

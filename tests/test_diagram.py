@@ -177,6 +177,32 @@ def test_unlink_and_validation():
         LinkDiagram((1, 0, 3, 2, 6, 7, 4, 5))
 
 
+def test_matching_must_be_a_list_or_tuple():
+    for bad in (None, 5, "1032", {0: 1, 1: 0, 2: 3, 3: 2}):
+        with pytest.raises(DiagramError, match="a matching is a list or tuple"):
+            LinkDiagram(bad)
+    assert LinkDiagram([1, 0, 3, 2]) == LinkDiagram((1, 0, 3, 2))
+
+
+def test_fields_are_read_only_however_the_diagram_was_made():
+    # a write would skip the validator: this matching has no plane
+    # embedding and a negative loop count would index the delta table
+    # from its far end
+    made = {
+        "constructor": LinkDiagram((1, 0, 3, 2), 1),
+        "parse_pd": parse_pd([[1, 2, 2, 1]]),
+        "_excise": diagram._excise(_build("3"), {0: diagram._SMOOTH_PAIRS[ZERO]}),
+    }
+    for how, d in made.items():
+        mate, loops = d.mate, d.free_loops
+        for name, value in (("mate", (1, 0, 3, 2, 6, 7, 4, 5)), ("free_loops", -1)):
+            with pytest.raises(AttributeError):
+                setattr(d, name, value)
+            with pytest.raises(AttributeError):
+                delattr(d, name)
+        assert (d.mate, d.free_loops) == (mate, loops), how
+
+
 def test_crossings_are_ints_not_bools():
     tre = _build("3")
     with pytest.raises(DiagramError, match="no crossing True"):

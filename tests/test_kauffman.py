@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib
+import itertools
 import json
 import os
 import pathlib
@@ -53,6 +56,7 @@ from helpers import (
     pretzel,
     random_diagrams,
     relabel,
+    signed_pretzel,
     skein_calls,
     turks_head,
 )
@@ -623,6 +627,23 @@ def test_lambda_at_the_bracket_point_is_the_state_sum():
         assert {e: c for e, c in value.items() if c} == a_mul(bracket(d), a_power(z, n)), d
 
 
+def test_lambda_is_a_mutation_invariant():
+    # permuting the columns of a pretzel is a Conway mutation, which no
+    # value of Lambda sees; most permutations give diagrams of different
+    # canonical keys, so a memo that took two of them for one would show.
+    # Pretzels resolve by twist regions alone, so the two walk mutants
+    # of the skein engine are out of this test's reach
+    rng = random.Random(61)
+    groups = []
+    while len(groups) < 40:
+        cols = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(4, 5))]
+        if sum(map(abs, cols)) <= 12:
+            groups.append(cols)
+    for cols in groups:
+        values = {lambda_poly(signed_pretzel(p)) for p in set(itertools.permutations(cols))}
+        assert len(values) == 1, cols
+
+
 _Z = LaurentPoly2.monomial(1, 0, 1)
 _A = LaurentPoly2.monomial(1, 1, 0)
 _A_INV = LaurentPoly2.monomial(1, -1, 0)
@@ -810,3 +831,22 @@ def test_randomized_diagrams_agree_without_cache(monkeypatch):
     monkeypatch.setenv("TWISTLAB_CACHE", "off")
     plain = [lambda_poly(d) for d in diagrams]
     assert cached == plain
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    # perfbench/spans.py wraps these by name, and a renamed one would
+    # otherwise show only when the benchmark runs; its tables are read
+    # from the source, not imported
+    tree = ast.parse((SRC.parent / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    tables = {
+        t.id: ast.literal_eval(node.value)
+        for node in tree.body if isinstance(node, ast.Assign)
+        for t in node.targets if t.id in ("_PRIVATE", "_ONLY", "_LAURENT")
+    }
+    assert len(tables) == 3
+    for layer, names in {**tables["_PRIVATE"], **tables["_ONLY"]}.items():
+        module = importlib.import_module(f"twistlab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    for attr in tables["_LAURENT"]:
+        assert callable(LaurentPoly2.__dict__.get(attr)), attr

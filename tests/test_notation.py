@@ -46,6 +46,12 @@ def test_parse_rejects_garbage():
         parse_conway("2 -1 2")
 
 
+def test_parse_refuses_non_text():
+    for bad in (3, None, b"2 1 2", ["2", "1", "2"]):
+        with pytest.raises(NotationError, match="parsed from text"):
+            parse_conway(bad)
+
+
 def test_parse_splits_at_commas_blanks_or_both():
     for text in ("2,2", "2 , 2", " 2,\t2 ", "2 2"):
         assert parse_conway(text).entries == (2, 2)
@@ -227,3 +233,9 @@ def test_enumerate_matches_brute_force():
 def test_enumerate_rejects_tiny():
     with pytest.raises(ValueError):
         enumerate_standard(1)
+
+
+def test_enumerate_refuses_counts_that_are_not_ints():
+    for bad in (3.0, "3", True):
+        with pytest.raises(NotationError, match="crossing count must be an int"):
+            enumerate_standard(bad)

@@ -330,6 +330,12 @@ def test_sweep_rejects_too_few_crossings():
             sweep(n)
 
 
+def test_sweep_refuses_counts_that_are_not_ints():
+    for bad in (2.5, 7.0, "7", True):
+        with pytest.raises(NotationError, match="crossing count must be an int"):
+            sweep(bad)
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: verify_code(ConwayCode((10**5000,))), lambda: sweep(10**5000)],
