@@ -103,6 +103,12 @@ class LinkDiagram:
         return f"<LinkDiagram crossings={self.crossings} loops={self.free_loops}>"
 
 
+def _require_diagram(d) -> None:
+    """Refuse anything but a LinkDiagram where a diagram is due."""
+    if not isinstance(d, LinkDiagram):
+        raise DiagramError(f"wanted a LinkDiagram, got {type(d).__name__}")
+
+
 def unlink(components: int) -> LinkDiagram:
     """Crossingless diagram of the given number of circles."""
     return LinkDiagram((), components)
@@ -441,6 +447,7 @@ def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     plane matchings is valid and plane, so the result is not checked again.
     """
     for d in (d1, d2):
+        _require_diagram(d)
         if d.crossings == 0 and d.free_loops == 0:
             raise DiagramError("cannot sum with an empty diagram")
     if d1.crossings == 0:
@@ -686,6 +693,7 @@ def parse_pd(pd) -> LinkDiagram:
 
 def to_pd(d: LinkDiagram) -> list[list[int]]:
     """Planar diagram code of d, arcs labelled 1..2c by first appearance; no free loops."""
+    _require_diagram(d)
     if d.free_loops:
         raise DiagramError(f"a pd code cannot hold the free loops of {d!r}")
     label: dict[int, int] = {}

@@ -88,7 +88,7 @@ tangle top to top and bottom to bottom gives Lambda = delta h + a^-1 x
 + v for the vector h H + x X + v V.  The 2-strand BMW algebra
 (Birman-Wenzl 1989) is the same relations in matrix form.  Cost is
 linear in crossings times the size of the polynomials, and verify_code
-walks a code once (twice when the code is not its own minimal code).
+walks a code once.
 
 Work that could not finish is refused up front.  The skein engine
 takes at most MAX_SKEIN_CROSSINGS = 14 crossings.  On 2 vCPUs with
@@ -115,6 +115,7 @@ from .diagram import (
     ZERO,
     DiagramError,
     LinkDiagram,
+    _require_diagram,
     _rotate_crossings,
     _traversal_entries,
     canonical_key,
@@ -123,7 +124,7 @@ from .diagram import (
     smooth,
     twist_region,
 )
-from .notation import NotationError, _shown, crossing_axes
+from .notation import NotationError, _is_int, _require_code, _shown, crossing_axes
 
 _CACHE_ENV = "TWISTLAB_CACHE"
 
@@ -310,6 +311,7 @@ def lambda_poly(d: LinkDiagram, cache=None) -> LaurentPoly2:
     is memoized, not even in a passed dict, when TWISTLAB_CACHE=off.
     Diagrams above MAX_SKEIN_CROSSINGS crossings are refused.
     """
+    _require_diagram(d)
     if d.crossings > MAX_SKEIN_CROSSINGS:
         raise DiagramError(
             f"the skein engine stops at {MAX_SKEIN_CROSSINGS} crossings, got {d.crossings}"
@@ -421,6 +423,7 @@ def lambda_code(code) -> LaurentPoly2:
     tangle of the first crossing's axis; then the tangle is closed.
     Codes above MAX_CODE_CROSSINGS crossings are refused.
     """
+    _require_code(code)
     if code.crossings > MAX_CODE_CROSSINGS:
         raise NotationError(
             f"codes stop at {MAX_CODE_CROSSINGS} crossings, got {_shown(code.crossings)}"
@@ -450,6 +453,8 @@ def truncate(p: LaurentPoly2, crossings: int) -> tuple[int, int, int]:
     supported on a exponents -2, 0, 2 with nonnegative coefficients
     u_minus, u_zero, u_plus.
     """
+    if not _is_int(crossings):
+        raise NotationError(f"crossing count must be an int, got {_shown(crossings)}")
     c = crossings
     top = p.max_z()
     if top is None or top > c - 1:

@@ -89,12 +89,19 @@ class ConwayCode:
         return " ".join(str(e) for e in self.entries)
 
 
+def _require_code(code) -> None:
+    """Refuse anything but a ConwayCode where a code is due."""
+    if not isinstance(code, ConwayCode):
+        raise NotationError(f"wanted a ConwayCode, got {type(code).__name__}")
+
+
 def crossing_axes(code: ConwayCode) -> list[bool]:
     """Axis of every crossing in build order, True for horizontal.
 
     Crossings are listed site by site from the first site to the last,
     so the last crossing is always horizontal.
     """
+    _require_code(code)
     n = code.sites
     return [(n - 1 - i) % 2 == 0 for i, m in enumerate(code.entries) for _ in range(m)]
 
@@ -137,6 +144,7 @@ def continued_fraction(code: ConwayCode) -> Fraction:
     """
     from fractions import Fraction  # loads decimal: import it only when called
 
+    _require_code(code)
     value = Fraction(code.entries[0])
     for e in code.entries[1:]:
         value = e + 1 / value
@@ -165,6 +173,7 @@ def minimal_code(code: ConwayCode) -> ConwayCode:
     site, except that a single site needs three crossings to close into
     something other than the clasp, which has no smaller standard form.
     """
+    _require_code(code)
     if code.sites == 1:
         if code.crossings == 2:
             raise NotationError("the clasp has no smaller standard form")

@@ -17,7 +17,7 @@ skein engine.
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, build_standard, connected_sum, mirror
+from .diagram import DiagramError, LinkDiagram, build_standard, connected_sum, mirror
 from .kauffman import (
     LaurentPoly2,
     TopDegreeMismatchError,
@@ -31,7 +31,6 @@ from .notation import (
     _is_int,
     _shown,
     enumerate_standard,
-    minimal_code,
     predicted_u,
 )
 
@@ -135,10 +134,17 @@ def check_diagram(
 
     No site-count prediction is applied; for a non-rational diagram
     there is nothing to predict, only coefficients to report and
-    optionally compare against the caller's expectation.  When the two
-    top z rows do not have the alternating shape, top_pair fails, it is
-    the only check, and ``failure`` says why.
+    optionally compare against the caller's expectation, a triple of
+    nonnegative ints.  When the two top z rows do not have the
+    alternating shape, top_pair fails, it is the only check, and
+    ``failure`` says why.
     """
+    if expected is not None and not (
+        isinstance(expected, (list, tuple))
+        and len(expected) == 3
+        and all(_is_int(n) and n >= 0 for n in expected)
+    ):
+        raise DiagramError("expected wants three nonnegative ints: u_minus, u_zero, u_plus")
     p = lambda_poly(d, cache)
     rep = VerificationReport(input=name, crossings=d.crossings, polynomial=p)
     try:
@@ -171,23 +177,15 @@ def verify_mirror(code: ConwayCode) -> VerificationReport:
 
 
 def verify_code(code: ConwayCode) -> VerificationReport:
-    """Run every check that applies to one code on one walk of its build.
-
-    One transfer walk (``lambda_code``) gives Lambda; only
-    reduction_match walks a second code, the minimal one, and only when
-    it differs from the code.
+    """Run every check that applies to one code on one transfer walk of its build.
 
     degree_bounds checks that every term has z_exp + |a_exp| at most c;
     that the z-degree is c - 1 is already proved by ``truncate``.
     theorem_match compares the whole truncated triple with the
-    site-count prediction.  reduction_match (all but the clasp) checks
-    that extra crossings only shift the truncated polynomial: the code
-    and the minimal code with the same number of sites share their five
-    leading coefficients, each read at its own top degree; a code that
-    is its own minimal code is not walked again, and passes.
+    site-count prediction.
     """
-    c = code.crossings
     p = lambda_code(code)
+    c = code.crossings
     u = truncate(p, c)
     expect = predicted_u(code)
     rep = VerificationReport(
@@ -195,11 +193,6 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     )
     rep.checks["degree_bounds"] = p.max_weight() <= c
     rep.checks["theorem_match"] = u == expect
-    if not (code.sites == 1 and c == 2):
-        small = minimal_code(code)
-        rep.checks["reduction_match"] = small == code or u == truncate(
-            lambda_code(small), small.crossings
-        )
     return rep
 
 

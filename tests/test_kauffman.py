@@ -42,6 +42,7 @@ from twistlab.kauffman import (
 )
 from twistlab.notation import (
     ConwayCode,
+    NotationError,
     continued_fraction,
     enumerate_standard,
     parse_conway,
@@ -791,6 +792,14 @@ def test_truncate_rejects_excess_degree():
     p = _poly({(0, 5): 1})
     with pytest.raises(TopDegreeMismatchError):
         truncate(p, 4)
+
+
+def test_truncate_refuses_counts_that_are_not_ints():
+    p = lambda_code(parse_conway("2"))
+    assert truncate(p, 2) == (0, 1, 0)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(NotationError, match="crossing count must be an int"):
+            truncate(p, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,22 @@ from twistlab.cli import main
 from twistlab.diagram import (
     INFINITY,
     ZERO,
+    DiagramError,
     build_standard,
     connected_sum,
     mirror,
     parse_pd,
     smooth,
     switch,
+    to_pd,
 )
-from twistlab.kauffman import LaurentPoly2, lambda_poly, truncate
+from twistlab.kauffman import LaurentPoly2, lambda_code, lambda_poly, truncate
 from twistlab.notation import (
     ConwayCode,
     NotationError,
+    continued_fraction,
     enumerate_standard,
+    minimal_code,
     parse_conway,
 )
 from twistlab.verify import (
@@ -75,11 +79,7 @@ def test_twist_count_report_fields():
     assert set(d) == {"input", "c", "sites", "computed_u", "predicted_u", "checks", "overall"}
     assert d["input"] == "2 2" and d["c"] == 4 and d["sites"] == 2
     assert d["computed_u"] == [1, 2, 1] and d["overall"] is True
-    assert set(rep.checks) == {
-        "degree_bounds",
-        "theorem_match",
-        "reduction_match",
-    }
+    assert set(rep.checks) == {"degree_bounds", "theorem_match"}
 
 
 def test_side_counts_sum_to_total_on_sweep():
@@ -89,16 +89,6 @@ def test_side_counts_sum_to_total_on_sweep():
             assert (um, u0, up) == (0, 1, 0)
         else:
             assert um + up == u0
-
-
-def test_minimal_reduction():
-    rep = verify_code(_code("4 3"))
-    assert rep.checks["reduction_match"] and rep.computed_u == rep.predicted == (1, 2, 1)
-    rep = verify_code(_code("5"))
-    assert rep.checks["reduction_match"] and rep.computed_u == (0, 1, 1)
-    rep = verify_code(_code("2 1 1 1 2"))
-    assert rep.checks["reduction_match"]  # already minimal, trivially equal
-    assert "reduction_match" not in verify_code(_code("2")).checks
 
 
 def test_truncated_skein_holds_at_the_first_and_last_crossing():
@@ -179,6 +169,17 @@ def test_check_diagram_flags_mismatch():
     assert rep.checks["expected_match"] is False
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [(True, 3, 2), (1, 2), "abc", (1, 4, -3), (1, 4.0, 3)],
+    ids=["bool", "pair", "text", "negative", "float"],
+)
+def test_check_diagram_refuses_an_expectation_that_is_not_a_count_triple(bad):
+    with pytest.raises(DiagramError, match="three nonnegative ints"):
+        check_diagram(_fixture("l6a5"), expected=bad)
+    assert check_diagram(_fixture("l6a5"), expected=[1, 4, 3]).overall
+
+
 def test_check_diagram_reports_a_failed_truncation():
     # a switched trefoil is an unknot diagram: its top z rows are not an
     # alternating diagram's, so top_pair fails and is the only check
@@ -190,15 +191,10 @@ def test_check_diagram_reports_a_failed_truncation():
 
 
 def test_verify_code_merges_applicable_checks():
-    rep = verify_code(_code("4 3"))
-    assert set(rep.checks) == {
-        "degree_bounds",
-        "theorem_match",
-        "reduction_match",
-    }
-    rep = verify_code(_code("2"))
-    assert "reduction_match" not in rep.checks
-    assert rep.overall
+    for text in ("4 3", "2"):
+        rep = verify_code(_code(text))
+        assert set(rep.checks) == {"degree_bounds", "theorem_match"}
+        assert rep.overall
 
 
 def test_verify_code_memo_does_not_change_the_report(monkeypatch):
@@ -230,9 +226,8 @@ def test_verify_code_never_enters_the_skein_engine(monkeypatch):
     assert resolved == []
 
 
-def test_verify_code_walks_a_code_once_and_its_minimal_code_once(monkeypatch):
-    # one walk gives the code's Lambda; the minimal code takes a second
-    # walk unless the code is its own minimal code
+def test_verify_code_walks_a_code_once(monkeypatch):
+    # one walk gives the code's Lambda, and no other code is walked
     walks = []
     real = verify.lambda_code
 
@@ -241,10 +236,10 @@ def test_verify_code_walks_a_code_once_and_its_minimal_code_once(monkeypatch):
         return real(code)
 
     monkeypatch.setattr(verify, "lambda_code", counting)
-    for text, count in (("2", 1), ("3", 1), ("2 2", 1), ("2 1 1 2", 1), ("4 3", 2)):
+    for text in ("2", "3", "2 2", "2 1 1 2", "4 3"):
         walks.clear()
         verify_code(_code(text))
-        assert len(walks) == count, (text, walks)
+        assert walks == [_code(text)], (text, walks)
 
 
 def _wrong_prediction(monkeypatch):
@@ -277,18 +272,6 @@ def _wrong_far_dropped(monkeypatch):
     _wrong_step(monkeypatch, lambda x, out, e: out[:2] + (x.shift(a_exp=e, z_exp=1),))
 
 
-def _wrong_minimal_polynomial(monkeypatch):
-    real = verify.lambda_code
-
-    def wrong(code):
-        p = real(code)
-        if code != _code("4 3"):
-            p = p + LaurentPoly2.monomial(1, 2, code.crossings - 2)
-        return p
-
-    monkeypatch.setattr(verify, "lambda_code", wrong)
-
-
 @pytest.mark.parametrize(
     "break_it, check",
     [
@@ -296,7 +279,6 @@ def _wrong_minimal_polynomial(monkeypatch):
         (_wrong_horizontal_step, "theorem_match"),
         (_wrong_near_sign, "theorem_match"),
         (_wrong_far_dropped, "theorem_match"),
-        (_wrong_minimal_polynomial, "reduction_match"),
     ],
 )
 def test_verify_reports_a_wrong_value_as_failed(monkeypatch, capsys, break_it, check):
@@ -307,6 +289,54 @@ def test_verify_reports_a_wrong_value_as_failed(monkeypatch, capsys, break_it, c
     assert "FAIL" in capsys.readouterr().out
     assert main(["verify", "4", "3", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["overall"] is False
+
+
+def test_a_wrong_polynomial_fails_the_code_it_corrupts(monkeypatch):
+    # one extra a^2 z^(c-2) term on every code but 4 3: the code's own
+    # theorem_match fails, in verify_code and in a sweep alike
+    real = verify.lambda_code
+
+    def wrong(code):
+        p = real(code)
+        if code != _code("4 3"):
+            p = p + LaurentPoly2.monomial(1, 2, code.crossings - 2)
+        return p
+
+    monkeypatch.setattr(verify, "lambda_code", wrong)
+    assert verify_code(_code("4 3")).overall
+    rep = verify_code(_code("2 2"))
+    assert rep.checks["theorem_match"] is False and not rep.overall
+    reports = sweep(7)
+    failed = [r.input for r in reports if not r.checks["theorem_match"]]
+    assert failed == [r.input for r in reports if r.input != "4 3"]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: verify_code((2, 1, 2)), NotationError),
+        (lambda: lambda_code([3]), NotationError),
+        (lambda: build_standard((2, 1, 2)), NotationError),
+        (lambda: minimal_code((3,)), NotationError),
+        (lambda: continued_fraction((2,)), NotationError),
+        (lambda: lambda_poly(None), DiagramError),
+        (lambda: connected_sum(build_standard(_code("3")), None), DiagramError),
+        (lambda: to_pd(None), DiagramError),
+    ],
+    ids=[
+        "verify_code",
+        "lambda_code",
+        "build_standard",
+        "minimal_code",
+        "continued_fraction",
+        "lambda_poly",
+        "connected_sum",
+        "to_pd",
+    ],
+)
+def test_entry_points_refuse_the_wrong_type_with_their_layers_error(call, error):
+    with pytest.raises(error, match="wanted a"):
+        call()
 
 
 def test_verify_passes_on_a_hundred_crossing_code():
