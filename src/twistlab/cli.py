@@ -86,19 +86,21 @@ def cmd_verify(args):
 def cmd_mirror(args):
     code = parse_conway(" ".join(args.code))
     rep = verify_mirror(code)
+    if rep.failure:
+        print(f"{code}: {rep.failure}", file=sys.stderr)
     q = rep.polynomial
-    u_mirror = truncate(q, rep.crossings)
+    u = rep.predicted[::-1]
     ok = rep.checks["substitution_match"]
     payload = {
         "code": str(code),
         "lambda_mirror": [list(term) for term in q.terms()],
-        "u": list(rep.computed_u),
-        "u_mirror": list(u_mirror),
+        "u": list(u),
+        "u_mirror": list(rep.computed_u) if rep.computed_u else None,
         "substitution_match": ok,
     }
     lines = [
         f"mirror of {code}: Lambda = {q.pretty()}",
-        f"u = {rep.computed_u} -> {u_mirror}  substitution_match: {'ok' if ok else 'FAIL'}",
+        f"u = {u} -> {rep.computed_u}  substitution_match: {'ok' if ok else 'FAIL'}",
     ]
     return 0 if rep.overall else 1, payload, lines
 

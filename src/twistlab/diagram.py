@@ -146,6 +146,7 @@ def _walks(d: LinkDiagram) -> tuple[list[list[int]], list[int], list[int]]:
 
 def components(d: LinkDiagram) -> int:
     """Number of link components, free circles included."""
+    _require_diagram(d)
     return len(_walks(d)[0]) + d.free_loops
 
 
@@ -156,6 +157,7 @@ def is_alternating(d: LinkDiagram) -> bool:
     has the same parity, so it alternates exactly when every arc joins
     an under slot (even) to an over slot (odd).
     """
+    _require_diagram(d)
     return all((e ^ m) & 1 for e, m in enumerate(d.mate))
 
 
@@ -180,6 +182,7 @@ def _self_crossing_signs(d: LinkDiagram) -> dict[int, int]:
 
 def self_writhe(d: LinkDiagram) -> int:
     """Writhe restricted to self-crossings; orientation independent."""
+    _require_diagram(d)
     return sum(_self_crossing_signs(d).values())
 
 
@@ -256,6 +259,7 @@ _STRAIGHT = ((0, 2), (1, 3))
 
 
 def _check_crossing(d: LinkDiagram, crossing: int) -> None:
+    _require_diagram(d)
     if not _is_int(crossing) or not 0 <= crossing < d.crossings:
         raise DiagramError(f"no crossing {_shown(crossing)} in {d!r}")
 
@@ -333,6 +337,7 @@ def switch(d: LinkDiagram, crossing: int) -> LinkDiagram:
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
     """Switch every crossing at once."""
+    _require_diagram(d)
     return _rotate_crossings(d, range(d.crossings))
 
 
@@ -416,6 +421,7 @@ def remove_curls(d: LinkDiagram) -> tuple[LinkDiagram, int]:
     twist bigon stays.  Every move preserves regular isotopy, so the
     scan order only picks among results with the same polynomial.
     """
+    _require_diagram(d)
     shift = 0
     while True:
         mate = d.mate
@@ -507,6 +513,7 @@ def canonical_key(d: LinkDiagram) -> DiagramKey:
     half-turn slot relabel.  Building a key walks the faces once and
     searches nothing; see ``DiagramKey`` for how keys compare.
     """
+    _require_diagram(d)
     return DiagramKey(d.mate, d.free_loops)
 
 

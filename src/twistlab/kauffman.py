@@ -445,6 +445,14 @@ class TopDegreeMismatchError(ValueError):
     """The polynomial does not look like an alternating diagram's."""
 
 
+def _require_rows(p, crossings) -> None:
+    """Refuse anything but a LaurentPoly2 and an int crossing count."""
+    if not isinstance(p, LaurentPoly2):
+        raise NotationError(f"wanted a LaurentPoly2, got {type(p).__name__}")
+    if not _is_int(crossings):
+        raise NotationError(f"crossing count must be an int, got {_shown(crossings)}")
+
+
 def truncate(p: LaurentPoly2, crossings: int) -> tuple[int, int, int]:
     """(u_minus, u_zero, u_plus) from the two top z rows, checking their shape.
 
@@ -453,8 +461,7 @@ def truncate(p: LaurentPoly2, crossings: int) -> tuple[int, int, int]:
     supported on a exponents -2, 0, 2 with nonnegative coefficients
     u_minus, u_zero, u_plus.
     """
-    if not _is_int(crossings):
-        raise NotationError(f"crossing count must be an int, got {_shown(crossings)}")
+    _require_rows(p, crossings)
     c = crossings
     top = p.max_z()
     if top is None or top > c - 1:
@@ -483,6 +490,7 @@ def staggered(p: LaurentPoly2, crossings: int) -> str:
     The z^(c-2) column is flush left with a exponents descending; each
     z^(c-1) monomial is indented and interleaved where it belongs.
     """
+    _require_rows(p, crossings)
     c = crossings
     low = p.z_row(c - 2)
     high = p.z_row(c - 1)

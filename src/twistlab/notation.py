@@ -160,6 +160,7 @@ def predicted_u(code: ConwayCode) -> tuple[int, int, int]:
     balance exactly when the site count is even, except the clasp,
     whose polynomial has no spread at all in the second-highest z row.
     """
+    _require_code(code)
     s = code.sites
     if s == 1 and code.crossings == 2:
         return (0, 1, 0)

@@ -10,9 +10,9 @@ instead of evaluating it again.  Nothing here ever adjusts a computed
 value to match a prediction; a failed check stays failed in the report.
 
 Checks on a code evaluate its standard build once with the
-transfer-matrix engine (``lambda_code``); only diagrams that are not a
-standard build, such as mirrors, connected sums and PD input, go to the
-skein engine.
+transfer-matrix engine (``lambda_code``).  Diagrams that are not a
+standard build go to the skein engine: connected sums, and mirrors and
+PD input, whose reports are ``check_diagram``'s.
 """
 
 from __future__ import annotations
@@ -162,17 +162,15 @@ def check_diagram(
 
 
 def verify_mirror(code: ConwayCode) -> VerificationReport:
-    """Check that the mirrored build's polynomial is Lambda with a -> 1/a."""
-    p = lambda_code(code)
-    q = lambda_poly(mirror(build_standard(code)))
-    rep = VerificationReport(
-        input=str(code),
-        crossings=code.crossings,
-        sites=code.sites,
-        computed_u=truncate(p, code.crossings),
-        polynomial=q,
-    )
-    rep.checks["substitution_match"] = q == p.mirror_a()
+    """``check_diagram`` of the mirrored build, plus substitution_match (a -> 1/a).
+
+    A mirror turns every twist site the other way, so ``predicted`` is the
+    code's own triple, read off the transfer walk, with its ends swapped.
+    """
+    p = lambda_code(code)  # first: it refuses a code past its budget up front
+    rep = check_diagram(mirror(build_standard(code)), name=str(code))
+    rep.predicted = truncate(p, code.crossings)[::-1]
+    rep.checks["substitution_match"] = rep.polynomial == p.mirror_a()
     return rep
 
 

@@ -53,6 +53,12 @@ def run(argv) -> dict:
     return {"status": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def test_golden_file_holds_exactly_the_cases():
+    # a case left in the file when its entry here goes would pass every
+    # pinned test above and show only when the file is regenerated
+    assert sorted(json.loads(EXPECTED.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_is_pinned(name):
     want = json.loads(EXPECTED.read_text(encoding="utf-8"))[name]

@@ -13,14 +13,19 @@ from twistlab.diagram import (
     ZERO,
     DiagramError,
     build_standard,
+    canonical_key,
+    components,
     connected_sum,
+    is_alternating,
     mirror,
     parse_pd,
+    remove_curls,
+    self_writhe,
     smooth,
     switch,
     to_pd,
 )
-from twistlab.kauffman import LaurentPoly2, lambda_code, lambda_poly, truncate
+from twistlab.kauffman import LaurentPoly2, lambda_code, lambda_poly, staggered, truncate
 from twistlab.notation import (
     ConwayCode,
     NotationError,
@@ -28,6 +33,7 @@ from twistlab.notation import (
     enumerate_standard,
     minimal_code,
     parse_conway,
+    predicted_u,
 )
 from twistlab.verify import (
     BALANCED,
@@ -339,6 +345,43 @@ def test_entry_points_refuse_the_wrong_type_with_their_layers_error(call, error)
         call()
 
 
+@pytest.mark.parametrize("bad", [(2, 1, 2), None], ids=["tuple", "None"])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (predicted_u, NotationError),
+        (amphicheiral_obstruction, NotationError),
+        (mirror, DiagramError),
+        (components, DiagramError),
+        (is_alternating, DiagramError),
+        (self_writhe, DiagramError),
+        (remove_curls, DiagramError),
+        (canonical_key, DiagramError),
+        (lambda d: switch(d, 0), DiagramError),
+        (lambda d: smooth(d, 0, ZERO), DiagramError),
+        (lambda p: truncate(p, 3), NotationError),
+        (lambda p: staggered(p, 3), NotationError),
+    ],
+    ids=[
+        "predicted_u",
+        "amphicheiral_obstruction",
+        "mirror",
+        "components",
+        "is_alternating",
+        "self_writhe",
+        "remove_curls",
+        "canonical_key",
+        "switch",
+        "smooth",
+        "truncate",
+        "staggered",
+    ],
+)
+def test_exported_functions_refuse_the_wrong_type_with_their_layers_error(call, error, bad):
+    with pytest.raises(error, match="wanted a"):
+        call(bad)
+
+
 def test_verify_passes_on_a_hundred_crossing_code():
     code = ConwayCode((2,) + (1,) * 96 + (2,))
     rep = verify_code(code)
@@ -347,11 +390,33 @@ def test_verify_passes_on_a_hundred_crossing_code():
 
 
 def test_verify_mirror():
-    for text in ("3", "2 1 2", "2"):
-        rep = verify_mirror(_code(text))
-        assert rep.checks == {"substitution_match": True}
-        assert rep.computed_u == truncate(lambda_poly(build_standard(_code(text))), rep.crossings)
-        assert rep.polynomial == lambda_poly(mirror(build_standard(_code(text))))
+    # the report is the mirrored build's: its z^(c-2) row reads the
+    # code's own triple with the ends swapped, on every code of 2..10
+    # crossings (3, 2 1 2 and 2 among them)
+    codes = [code for c in range(2, 11) for code in enumerate_standard(c)]
+    assert len(codes) == 256
+    for code in codes:
+        rep = verify_mirror(code)
+        assert rep.polynomial == lambda_poly(mirror(build_standard(code))), code
+        assert rep.checks == {
+            "degree_bounds": True, "top_pair": True, "substitution_match": True
+        }, code
+        assert rep.computed_u == rep.predicted == predicted_u(code)[::-1], code
+
+
+def test_a_mirror_whose_rows_have_the_wrong_shape_fails_top_pair(monkeypatch, capsys):
+    # the mirror's rows are read by check_diagram, so a wrong shape is a
+    # failed check with a reason, not an error that escapes the command
+    monkeypatch.setattr(verify, "lambda_poly", lambda d, cache=None: LaurentPoly2.monomial(1))
+    rep = verify_mirror(_code("3"))
+    assert rep.checks == {"top_pair": False, "substitution_match": False}
+    assert rep.computed_u is None and rep.failure
+    assert main(["mirror", "3", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["u_mirror"] is None
+    assert err.startswith("3: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert main(["mirror", "3"]) == 1
+    assert "(0, 1, 1) -> None" in capsys.readouterr().out
 
 
 def test_sweep_rejects_too_few_crossings():
