@@ -3,11 +3,12 @@
 verify_code makes one VerificationReport per code; verify_mirror,
 verify_connected_sum and check_diagram each make one per diagram.  A
 report holds named boolean checks plus the computed and predicted
-coefficient triples, JSON-serializable for scripting.  A check that
-evaluates a diagram with the skein engine keeps that Lambda in the
-report's ``polynomial``, which is not serialized, so callers print it
-instead of evaluating it again.  Nothing here ever adjusts a computed
-value to match a prediction; a failed check stays failed in the report.
+coefficient triples, JSON-serializable for scripting.  Every report
+keeps the Lambda it checked in ``polynomial``, which is not serialized,
+so callers print it instead of evaluating it again.  Nothing here ever
+adjusts a computed value to match a prediction; a failed check stays
+failed in the report.  Top z rows without the alternating shape fail
+top_pair, then the only check, and ``failure`` says why.
 
 Checks on a code evaluate its standard build once with the
 transfer-matrix engine (``lambda_code``).  Diagrams that are not a
@@ -92,6 +93,8 @@ class VerificationReport:
 
 def chirality_class(u: tuple[int, int, int]) -> str:
     """Classify the a-spread (u_minus, u_zero, u_plus) of the z^(c-2) row."""
+    if not (isinstance(u, (list, tuple)) and len(u) == 3):
+        raise NotationError(f"wanted a (u_minus, u_zero, u_plus) triple, got {_shown(u)}")
     u_minus, _, u_plus = u
     if u_plus > u_minus:
         return TOP_HEAVY
@@ -124,6 +127,19 @@ def verify_connected_sum(code1: ConwayCode, code2: ConwayCode) -> VerificationRe
     return rep
 
 
+def _read_rows(rep: VerificationReport) -> bool:
+    """Read ``computed_u`` and degree_bounds off the top rows; False if top_pair fails."""
+    p, c = rep.polynomial, rep.crossings
+    try:
+        rep.computed_u = truncate(p, c)
+    except TopDegreeMismatchError as exc:
+        rep.checks["top_pair"] = False
+        rep.failure = str(exc)
+        return False
+    rep.checks["degree_bounds"] = p.max_weight() <= c
+    return True
+
+
 def check_diagram(
     d: LinkDiagram,
     expected: tuple[int, int, int] | None = None,
@@ -135,9 +151,7 @@ def check_diagram(
     No site-count prediction is applied; for a non-rational diagram
     there is nothing to predict, only coefficients to report and
     optionally compare against the caller's expectation, a triple of
-    nonnegative ints.  When the two top z rows do not have the
-    alternating shape, top_pair fails, it is the only check, and
-    ``failure`` says why.
+    nonnegative ints.
     """
     if expected is not None and not (
         isinstance(expected, (list, tuple))
@@ -147,17 +161,10 @@ def check_diagram(
         raise DiagramError("expected wants three nonnegative ints: u_minus, u_zero, u_plus")
     p = lambda_poly(d, cache)
     rep = VerificationReport(input=name, crossings=d.crossings, polynomial=p)
-    try:
-        u = truncate(p, d.crossings)
-    except TopDegreeMismatchError as exc:
-        rep.checks["top_pair"] = False
-        rep.failure = str(exc)
-        return rep
-    rep.computed_u = u
-    rep.checks["degree_bounds"] = p.max_weight() <= d.crossings
-    rep.checks["top_pair"] = True
-    if expected is not None:
-        rep.checks["expected_match"] = u == tuple(expected)
+    if _read_rows(rep):
+        rep.checks["top_pair"] = True
+        if expected is not None:
+            rep.checks["expected_match"] = rep.computed_u == tuple(expected)
     return rep
 
 
@@ -165,11 +172,11 @@ def verify_mirror(code: ConwayCode) -> VerificationReport:
     """``check_diagram`` of the mirrored build, plus substitution_match (a -> 1/a).
 
     A mirror turns every twist site the other way, so ``predicted`` is the
-    code's own triple, read off the transfer walk, with its ends swapped.
+    code's site-count prediction with its ends swapped.
     """
     p = lambda_code(code)  # first: it refuses a code past its budget up front
     rep = check_diagram(mirror(build_standard(code)), name=str(code))
-    rep.predicted = truncate(p, code.crossings)[::-1]
+    rep.predicted = predicted_u(code)[::-1]
     rep.checks["substitution_match"] = rep.polynomial == p.mirror_a()
     return rep
 
@@ -183,14 +190,11 @@ def verify_code(code: ConwayCode) -> VerificationReport:
     site-count prediction.
     """
     p = lambda_code(code)
-    c = code.crossings
-    u = truncate(p, c)
-    expect = predicted_u(code)
     rep = VerificationReport(
-        input=str(code), crossings=c, sites=code.sites, computed_u=u, predicted=expect
+        str(code), code.crossings, code.sites, predicted=predicted_u(code), polynomial=p
     )
-    rep.checks["degree_bounds"] = p.max_weight() <= c
-    rep.checks["theorem_match"] = u == expect
+    if _read_rows(rep):
+        rep.checks["theorem_match"] = rep.computed_u == rep.predicted
     return rep
 
 

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from twistlab import cli
+from twistlab import cli, verify
 from twistlab.cli import main
 from twistlab.kauffman import LaurentPoly2, lambda_poly
 from twistlab.diagram import DiagramKey, build_standard, connected_sum, mirror, to_pd
@@ -452,13 +452,31 @@ def test_import_leaves_out_the_heavy_stdlib_modules():
     assert not heavy & set(loaded)
 
 
-def test_a_top_row_of_the_wrong_shape_exits_one(monkeypatch, capsys):
-    # truncate refuses the polynomial; main reports it as a failed check
-    monkeypatch.setattr(cli, "lambda_code", lambda code: LaurentPoly2.monomial(1))
-    assert main(["compute", "2", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("check failed: ") and captured.err.count("\n") == 1
+@pytest.mark.parametrize(
+    "argv, name, triple",
+    [
+        (["compute", "2", "2"], "2 2", lambda out: out["u"] or out["chirality"]),
+        (["verify", "2", "2"], "2 2", lambda out: out["computed_u"]),
+        (["mirror", "3"], "3", lambda out: out["u_mirror"]),
+        (["pd", "--file", str(DATA / "golden" / "l6a5.jsonl")], "l6a5",
+         lambda out: out["records"][0]["computed_u"]),
+    ],
+    ids=["compute", "verify", "mirror", "pd"],
+)
+def test_a_top_row_of_the_wrong_shape_fails_top_pair_on_every_command(
+    monkeypatch, capsys, argv, name, triple
+):
+    # every command reads its rows through verify's one reader: a wrong
+    # shape is a failed report with a reason, never an escaped error
+    def flat(*args, **kwargs):
+        return LaurentPoly2.monomial(1)
+
+    monkeypatch.setattr(verify, "lambda_code", flat)
+    monkeypatch.setattr(verify, "lambda_poly", flat)
+    assert main(argv + ["--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"{name}: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert triple(json.loads(out)) is None
 
 
 def test_python_dash_m_runs_main(capsys):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from twistlab import kauffman, verify
+from twistlab import cli, kauffman, verify
 from twistlab.cli import main
 from twistlab.diagram import (
     INFINITY,
@@ -232,20 +232,34 @@ def test_verify_code_never_enters_the_skein_engine(monkeypatch):
     assert resolved == []
 
 
-def test_verify_code_walks_a_code_once(monkeypatch):
-    # one walk gives the code's Lambda, and no other code is walked
-    walks = []
-    real = verify.lambda_code
+def test_verify_code_walks_a_code_once(monkeypatch, capsys):
+    # one walk gives the code's Lambda, one truncate reads its rows, and
+    # no other code is walked; verify and compute make one call each too
+    walks, reads = [], []
+    real_walk, real_read = verify.lambda_code, kauffman.truncate
 
-    def counting(code):
+    def counting_walk(code):
         walks.append(code)
-        return real(code)
+        return real_walk(code)
 
-    monkeypatch.setattr(verify, "lambda_code", counting)
+    def counting_read(p, crossings):
+        reads.append(crossings)
+        return real_read(p, crossings)
+
+    for mod in (cli, verify, kauffman):  # every namespace a call could resolve them in
+        monkeypatch.setattr(mod, "lambda_code", counting_walk, raising=False)
+        monkeypatch.setattr(mod, "truncate", counting_read, raising=False)
     for text in ("2", "3", "2 2", "2 1 1 2", "4 3"):
         walks.clear()
+        reads.clear()
         verify_code(_code(text))
-        assert walks == [_code(text)], (text, walks)
+        assert (walks, reads) == ([_code(text)], [_code(text).crossings]), text
+    for argv in (["verify", "4", "3", "--json"], ["compute", "4", "3"]):
+        walks.clear()
+        reads.clear()
+        assert main(argv) == 0
+        assert (walks, reads) == ([_code("4 3")], [7]), argv
+    capsys.readouterr()
 
 
 def _wrong_prediction(monkeypatch):
@@ -351,6 +365,8 @@ def test_entry_points_refuse_the_wrong_type_with_their_layers_error(call, error)
     [
         (predicted_u, NotationError),
         (amphicheiral_obstruction, NotationError),
+        # (2, 1, 2) is a triple, so the tuple case passes the pair (1, 2)
+        (lambda u: chirality_class(u and u[1:]), NotationError),
         (mirror, DiagramError),
         (components, DiagramError),
         (is_alternating, DiagramError),
@@ -365,6 +381,7 @@ def test_entry_points_refuse_the_wrong_type_with_their_layers_error(call, error)
     ids=[
         "predicted_u",
         "amphicheiral_obstruction",
+        "chirality_class",
         "mirror",
         "components",
         "is_alternating",
@@ -440,6 +457,30 @@ def test_budget_errors_show_ints_too_long_to_print(make):
     # an f-string of an int past 4300 digits raises a plain ValueError
     with pytest.raises(NotationError, match="-bit int>"):
         make()
+
+
+def test_a_sweep_keeps_going_past_a_code_whose_rows_have_the_wrong_shape(monkeypatch, capsys):
+    # 2 1 2's z^(c-1) row gets an extra a^3 term; every other code is
+    # left as it is, so only that report fails, and it fails top_pair
+    bad = _code("2 1 2")
+    real = verify.lambda_code
+
+    def wrong(code):
+        p = real(code)
+        return p + LaurentPoly2.monomial(1, 3, code.crossings - 1) if code == bad else p
+
+    monkeypatch.setattr(verify, "lambda_code", wrong)
+    reports = sweep(7)
+    assert [r.input for r in reports] == [
+        str(code) for c in range(2, 8) for code in enumerate_standard(c)
+    ]
+    failed = [r for r in reports if not r.overall]
+    assert [r.input for r in failed] == [str(bad)]
+    assert failed[0].checks == {"top_pair": False} and failed[0].failure
+    assert all(r.failure is None for r in reports if r.overall)
+    assert main(["verify", "--enumerate", "--max-crossings", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: ") and err.count("\n") == 1
 
 
 def test_sweep_passes_and_reports():
